@@ -88,6 +88,9 @@ class CMSStats:
     jit_compiles: int = 0
     jit_compile_failures: int = 0
     jit_code_cache_hits: int = 0  # compile skipped via shared code cache
+    # Template memory atoms whose inline plain-RAM guard failed and
+    # that ran the exact ``HostCPU._load``/``_store`` helper instead.
+    jit_slow_mem_ops: int = 0
     jit_bailouts: Counter = field(default_factory=Counter)  # by reason
 
     def as_dict(self, cost: CostModel | None = None) -> dict:
@@ -184,7 +187,8 @@ class CMSStats:
                 f"jit dispatches       {self.jit_dispatches:>12}"
                 f" ({self.jit_compiles} compiles,"
                 f" {self.jit_compile_failures} failures,"
-                f" {sum(self.jit_bailouts.values())} bailouts)"
+                f" {sum(self.jit_bailouts.values())} bailouts,"
+                f" {self.jit_slow_mem_ops} slow mem ops)"
             )
         if self.snapshot_translations_loaded or \
                 self.snapshot_translations_dropped:

@@ -816,7 +816,6 @@ class CodeMorphingSystem:
         try:
             reactivated = self.smc.try_group_reactivation(eip)
             if reactivated is not None:
-                self.stats.group_reactivations += 1
                 self.bus.record(Event.GROUP_REACTIVATE, eip)
                 return reactivated
             policy = self.degrade.clamp(eip, self.controller.policy_for(eip))

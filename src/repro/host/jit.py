@@ -20,9 +20,12 @@ Semantics are bit-identical to ``HostCPU.run`` by construction:
 * alias record/check, the gated store buffer, fine-grain protection,
   MMIO routing, commit/rollback, and SMC invalidation all run through
   the same objects and counters — the generated code only *inlines*
-  the provably side-effect-free guard (unprotected RAM, buffer not
-  full, paging off) and falls back to the exact ``HostCPU`` helpers
-  whenever any guard fails;
+  accesses its guard proves are plain RAM: paging off, every touched
+  byte inside RAM, every touched page clear in the bus's I/O page
+  table (``MemoryBus.io_pages``), and, for stores, every touched page
+  unprotected and the store buffer not full.  Whenever any guard
+  fails it falls back to the exact ``HostCPU`` helpers, and counts the
+  fallback in ``CMSStats.jit_slow_mem_ops``;
 * any host fault raises the same ``HostFaultError`` the dispatcher
   already handles, so rollback and recovery are unchanged.
 
@@ -128,16 +131,19 @@ def _alu_expr(op: AluOp, a: str, b: str, bc: int | None) -> str:
 class _Codegen:
     """Builds the source of one translation's template function."""
 
-    def __init__(self, translation, cpu) -> None:
+    def __init__(self, translation, cpu, stats=None) -> None:
         self.t = translation
         self.cpu = cpu
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self._atom_names: dict[int, str] = {}
-        machine = cpu.machine
-        # RAM below the lowest MMIO base: accesses wholly inside it can
-        # never be I/O, and the PhysicalMemory accessors cannot fault.
-        self.ram_limit = min(machine.bus._ram_limit, machine.ram.size)
+        self.stats = stats
+        # Accesses that end inside RAM on pages clear in the bus's I/O
+        # page table can never be I/O, and the PhysicalMemory accessors
+        # cannot fault on them.  The table itself is bound late (like
+        # the protected-page set), so a region added after compilation
+        # still diverts this template's accesses to the slow path.
+        self.ram_size = cpu.machine.ram.size
         self.sb_capacity = cpu.store_buffer.capacity
 
     def bind(self, atom) -> str:
@@ -182,12 +188,34 @@ class _Codegen:
         else:
             self.emit(depth, f"x = w[{atom.rs1}]")
 
+    def _ram_guards(self, size: int) -> list[str]:
+        """Conditions, any of which sends an access to the slow path:
+        paging on, bytes past the end of RAM, or an I/O page touched."""
+        guards = [
+            "mmu.paging_enabled",
+            f"x > {self.ram_size - size}",
+            f"iop[x >> {PAGE_SHIFT}]",
+        ]
+        if size > 1:
+            guards.append(f"iop[(x + {size - 1}) >> {PAGE_SHIFT}]")
+        return guards
+
+    def _slow_call(self, call: str, depth: int) -> None:
+        """The exact ``HostCPU`` helper, counted.  The count goes straight
+        to the stats object rather than through a local flushed in the
+        ``finally``: CPython copies a ``finally`` body once per
+        ``return`` inside the ``try``, and a template has several per
+        molecule, so every line there multiplies the code object."""
+        if self.stats is not None:
+            self.emit(depth, "stats.jit_slow_mem_ops += 1")
+        self.emit(depth, call)
+
     def _load(self, atom, depth: int) -> None:
         name = self.bind(atom)
         self._addr_line(atom, depth)
-        limit = self.ram_limit - atom.size
-        self.emit(depth, f"if mmu.paging_enabled or x > {limit}:")
-        self.emit(depth + 1, f"ld({name})")
+        self.emit(depth, "if " + " or ".join(self._ram_guards(atom.size))
+                  + ":")
+        self._slow_call(f"ld({name})", depth + 1)
         self.emit(depth, "else:")
         self._alias_lines(atom, depth + 1, store=False)
         reader = {1: "rd1", 2: "rd2b", 4: "rd4"}[atom.size]
@@ -202,17 +230,13 @@ class _Codegen:
         name = self.bind(atom)
         self._addr_line(atom, depth)
         size = atom.size
-        limit = self.ram_limit - size
-        guards = [
-            "mmu.paging_enabled",
-            f"x > {limit}",
-            f"(x >> {PAGE_SHIFT}) in pgs",
-        ]
+        guards = self._ram_guards(size)
+        guards.append(f"(x >> {PAGE_SHIFT}) in pgs")
         if size > 1:
             guards.append(f"((x + {size - 1}) >> {PAGE_SHIFT}) in pgs")
         guards.append(f"len(ent) >= {self.sb_capacity}")
         self.emit(depth, "if " + " or ".join(guards) + ":")
-        self.emit(depth + 1, f"st({name})")
+        self._slow_call(f"st({name})", depth + 1)
         self.emit(depth, "else:")
         self._alias_lines(atom, depth + 1, store=True)
         self.emit(depth + 1, f"v = w[{atom.rs2}]")
@@ -375,12 +399,14 @@ class _Codegen:
             fwd=cpu.store_buffer.forward,
             rd1=machine.ram.read8, rd2b=machine.ram.read16,
             rd4=machine.ram.read32,
-            pgs=cpu.protection._pages,
+            pgs=cpu.protection._pages, iop=machine.bus.io_pages,
             BS=BufferedStore, HFE=HostFaultError, HF=HostFault,
             AVK=HostFaultKind.ALIAS_VIOLATION,
             SCK=HostFaultKind.SELF_CHECK,
             par=parity,
         )
+        if self.stats is not None:
+            self.consts["stats"] = self.stats
         arms = sorted(set(t.labels.values()))
         count = len(t.molecules)
         if any(arm < 0 or arm > count for arm in arms):
@@ -411,7 +437,7 @@ class _Codegen:
 # Process-wide cache of compiled template code objects, keyed by the
 # sha256 of the generated source.  The source embeds everything the
 # code object depends on (molecule structure, folded constants,
-# ``ram_limit``/``sb_capacity``); all per-CPU state is late-bound via
+# ``ram_size``/``sb_capacity``); all per-CPU state is late-bound via
 # ``_make``, so one code object serves every tenant whose translation
 # lowers to the same text.  ``compile`` dominates template cost, so a
 # fleet of tenants running the same guest code pays it once.
@@ -426,7 +452,7 @@ def compile_translation(translation, cpu, stats=None):
     lowering is best-effort and unsupported shapes are not an error.
     """
     try:
-        source, consts = _Codegen(translation, cpu).generate()
+        source, consts = _Codegen(translation, cpu, stats).generate()
         key = hashlib.sha256(source.encode("utf-8")).hexdigest()
         code = _CODE_CACHE.get(key)
         if code is None:

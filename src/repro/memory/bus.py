@@ -21,6 +21,11 @@ switches the bus back to it (the seed behavior) for ablation runs, and
 the property tests check the two agree on randomized region layouts.
 Both ``region_at`` and ``is_io`` route through the same sorted-probe
 helper, so there is a single routing implementation per mode.
+
+Translated code gets a third, page-granular view, ``io_pages`` (see
+``MemoryBus``): the template JIT inlines a load or store only when no
+page it touches holds I/O, so plain RAM stays on the inline path
+wherever it sits relative to the VGA hole.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.isa.exceptions import general_protection
-from repro.memory.physical import PhysicalMemory
+from repro.memory.physical import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
 MASK32 = 0xFFFFFFFF
 
@@ -72,6 +77,14 @@ class MemoryBus:
     Accesses are 1, 2, or 4 bytes on both the RAM and MMIO paths; any
     other size raises ``ValueError`` before any routing or counter
     side effect, so RAM and MMIO reject malformed accesses uniformly.
+
+    ``io_pages`` is the I/O page table: a ``bytearray`` with one byte
+    per RAM page, set for every page that an MMIO region overlaps.  A
+    region that is not page-aligned marks its partial pages whole, so
+    the table is conservative (a set byte means "maybe I/O", a clear
+    one means "no byte of this page is I/O").  ``add_region`` updates
+    it in place, so a reader holding the object always sees the
+    current map.
     """
 
     def __init__(self, ram: PhysicalMemory) -> None:
@@ -86,6 +99,7 @@ class MemoryBus:
         self._bases: list[int] = []
         self._ends: list[int] = []
         self._ram_limit = _NO_MMIO_LIMIT  # lowest MMIO base
+        self.io_pages = bytearray(ram.size >> PAGE_SHIFT)
 
     def set_fast_routing(self, enabled: bool) -> None:
         """Select bisect routing (default) or the linear reference."""
@@ -103,6 +117,11 @@ class MemoryBus:
         self._bases = [r.base for r in self._sorted_regions]
         self._ends = [r.base + r.size for r in self._sorted_regions]
         self._ram_limit = self._bases[0] if self._bases else _NO_MMIO_LIMIT
+        first = region.base >> PAGE_SHIFT
+        last = min(region.base + region.size + PAGE_SIZE - 1,
+                   self.ram.size) >> PAGE_SHIFT
+        for page in range(first, last):
+            self.io_pages[page] = 1
 
     # ------------------------------------------------------------------
     # Routing.  Regions never overlap, so the region containing ``addr``

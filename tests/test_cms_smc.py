@@ -13,6 +13,8 @@ from dataclasses import replace
 import pytest
 
 from repro import CMSConfig
+from repro.cms.smc import SMCManager
+from repro.cms.trace import Event
 
 from conftest import assert_equivalent, run_both, run_cms
 
@@ -285,6 +287,27 @@ class TestTranslationGroups:
         both_plain = run_both(GROUPS_PROGRAM, config=no_groups)
         assert (both_groups.cms_system.stats.translations_made
                 < both_plain.cms_system.stats.translations_made)
+
+    def test_reactivations_counted_once_per_path(self, monkeypatch):
+        # Each reactivation is one tcache insert, counted once: on the
+        # dispatcher path it also records GROUP_REACTIVATE, on the
+        # self-check path ``on_self_check_fail`` returns the version.
+        self_check_hits = []
+        original = SMCManager.on_self_check_fail
+
+        def counting(manager, translation):
+            replacement = original(manager, translation)
+            if replacement is not None:
+                self_check_hits.append(replacement)
+            return replacement
+
+        monkeypatch.setattr(SMCManager, "on_self_check_fail", counting)
+        both = assert_equivalent(GROUPS_PROGRAM, config=CMSConfig())
+        system = both.cms_system
+        events = system.trace.lifetime_counts[Event.GROUP_REACTIVATE]
+        assert events >= 1 and self_check_hits
+        assert system.stats.group_reactivations == \
+            events + len(self_check_hits)
 
     def test_groups_disabled_still_correct(self):
         assert_equivalent(GROUPS_PROGRAM,

@@ -5,16 +5,32 @@ run must be molecule-identical and architecturally identical — the
 generated Python only replaces the simulated VLIW's per-atom dispatch,
 never what executes.  These tests pin that contract on the edges where
 it is easiest to break: mid-translation faults, alias bailouts, SMC
-invalidation, fuel exhaustion, and compile failure.
+invalidation, fuel exhaustion, compile failure, and the inline
+plain-RAM guard at the edges of MMIO pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from conftest import assert_equivalent, run_cms
 from repro import CMSConfig
+from repro.cache.tcache import Translation
+from repro.cms.stats import CMSStats
+from repro.cms.system import CodeMorphingSystem
 from repro.host import jit as jit_module
+from repro.host.atoms import Atom, AtomKind
+from repro.host.cpu import ExitKind, HostCPU
+from repro.host.faults import HostFaultKind
+from repro.host.molecule import Molecule
+from repro.host.registers import R_EIP, TEMP_BASE
+from repro.machine import Machine
+from repro.memory.bus import MMIORegion
+from repro.memory.finegrain import FineGrainCache
+from repro.memory.protection import ProtectionMap
+from repro.translator.policies import TranslationPolicy
 from repro.workloads import get_workload, run_workload
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
@@ -216,3 +232,281 @@ class TestFallbacks:
         # The callable is process-local: never persisted, rebuilt on
         # first dispatch of the reloaded translation.
         assert warm_system.stats.jit_compiles >= 1
+
+
+# ----------------------------------------------------------------------
+# The inline plain-RAM guard (MemoryBus.io_pages)
+# ----------------------------------------------------------------------
+
+# Kernel-style guest: every data access lands at DATA_BASE (1 MiB),
+# above the framebuffer hole at 0xA0000.
+HIGH_DATA_LOOP = """
+start:
+    mov esi, table
+    mov edi, out
+    mov ecx, 0
+    mov ebx, 0
+loop:
+    loadx eax, [esi+ecx*4]
+    add ebx, eax
+    storex [edi+ecx*4], ebx
+    loadbx edx, [esi+ecx]
+    xor ebx, edx
+    storebx [edi+ecx+256], ebx
+    inc ecx
+    cmp ecx, 64
+    jne loop
+    mov eax, 0
+    mov ecx, 0
+again:
+    loadx edx, [edi+ecx*4]
+    add eax, edx
+    inc ecx
+    cmp ecx, 64
+    jne again
+    cli
+    hlt
+    .org 0x100000
+table:
+""" + "\n".join(
+    "    .word " + ", ".join(str((i * 12 + j) * 0x9E3779B1 & 0xFFFFFFFF)
+                            for j in range(12))
+    for i in range(6)) + """
+out:
+    .space 512
+"""
+
+
+class MemoryDevice:
+    """Byte-array MMIO handler that records every access it serves."""
+
+    def __init__(self, size: int) -> None:
+        self.data = bytearray(size)
+        self.log: list[tuple] = []
+
+    def mmio_read(self, offset: int, size: int) -> int:
+        self.log.append(("r", offset, size))
+        return int.from_bytes(self.data[offset:offset + size].ljust(
+            size, b"\x00"), "little")
+
+    def mmio_write(self, offset: int, value: int, size: int) -> None:
+        self.log.append(("w", offset, size, value))
+        chunk = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        self.data[offset:offset + size] = chunk[:len(self.data) - offset]
+
+
+# One extra region that is not page-aligned, inside RAM page 0xC1: the
+# I/O page table must mark that whole page, and the slow path must
+# still route each byte exactly.
+EXTRA_BASE = 0xC1230
+EXTRA_SIZE = 0x20
+
+
+def _machine_with_extra_region():
+    machine = Machine()
+    device = MemoryDevice(EXTRA_SIZE)
+    machine.bus.add_region(MMIORegion(EXTRA_BASE, EXTRA_SIZE, device,
+                                      "extra"))
+    return machine, device
+
+
+def _run_on_extra_machine(source: str, config: CMSConfig):
+    machine, device = _machine_with_extra_region()
+    entry = machine.load_source(source)
+    system = CodeMorphingSystem(machine, config)
+    result = system.run(entry, max_instructions=200_000)
+    return system, result, device
+
+
+_WINDOW_ADDRS = (
+    list(range(0x9FFFC, 0xA0004))  # RAM -> framebuffer edge
+    + list(range(0xAFFFC, 0xB0004))  # framebuffer -> RAM edge
+    + list(range(EXTRA_BASE - 4, EXTRA_BASE + 4))
+    + list(range(EXTRA_BASE + EXTRA_SIZE - 4, EXTRA_BASE + EXTRA_SIZE + 4))
+    + [0xC1000, 0xC1FFC]  # plain RAM on the extra region's page
+)
+
+
+def _window_program(addr: int, store: bool, size: int) -> str:
+    """A hot loop whose one access of interest moves to ``addr`` once
+    the loop is translated.  Until then it touches plain RAM, so the
+    translator sees no I/O there; the load follows a store through
+    another pointer, so the scheduler hoists it (a reordered atom)."""
+    if store:
+        access = ("storeb [esi], ecx" if size == 1 else "store [esi], ecx")
+    else:
+        access = ("loadb eax, [esi]" if size == 1 else "load eax, [esi]")
+    return f"""
+start:
+    mov esi, 0x100100
+    mov edi, 0x100000
+    mov ecx, 0
+    mov ebx, 0
+    mov eax, 0
+loop:
+    store [edi], ecx
+    {access}
+    add ebx, eax
+    inc ecx
+    cmp ecx, 30
+    jne next
+    mov esi, {addr:#x}
+next:
+    cmp ecx, 60
+    jne loop
+    cli
+    hlt
+"""
+
+
+def _host_cpu(machine):
+    cpu = HostCPU(machine, ProtectionMap(FineGrainCache(4)))
+    stats = CMSStats()
+    return cpu, stats, jit_module.TemplateJIT(cpu, stats=stats)
+
+
+def _mol(*atoms) -> Molecule:
+    molecule = Molecule()
+    for atom in atoms:
+        molecule.add(atom)
+    return molecule
+
+
+def _host_translation(*body) -> Translation:
+    """``body`` molecules, then commit and exit to 0x1000."""
+    exit_atom = Atom(AtomKind.EXIT, exit_target=0x1000)
+    return Translation(
+        entry_eip=0x1000,
+        molecules=[*body,
+                   _mol(Atom(AtomKind.MOVI, rd=R_EIP, imm=0x1000),
+                        Atom(AtomKind.COMMIT)),
+                   _mol(exit_atom)],
+        labels={"body": 0}, entry_label="body",
+        policy=TranslationPolicy(), code_ranges=[(0x1000, 4)],
+        code_snapshot=bytes(4), exit_atoms=[exit_atom])
+
+
+class TestPlainRamGuard:
+    def test_high_data_runs_inline_and_matches_interpreter(self):
+        both = assert_equivalent(HIGH_DATA_LOOP, config=FAST)
+        stats = both.cms_system.stats
+        assert stats.jit_dispatches > 0
+        assert stats.jit_slow_mem_ops == 0
+        _assert_dial_invisible(HIGH_DATA_LOOP, FAST)
+
+    def test_io_pages_mark_overlapping_pages_conservatively(self):
+        machine, _ = _machine_with_extra_region()
+        pages = machine.bus.io_pages
+        assert len(pages) == machine.ram.size >> 12
+        assert [p for p in range(len(pages)) if pages[p]] == \
+            list(range(0xA0, 0xB0)) + [0xC1]
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(addr=st.sampled_from(_WINDOW_ADDRS), store=st.booleans(),
+           size=st.sampled_from([1, 4]))
+    def test_window_accesses_agree_everywhere(self, addr, store, size):
+        source = _window_program(addr, store, size)
+        runs = [_run_on_extra_machine(source, config)
+                for config in (FAST, NO_JIT, FAST.interpreter_only())]
+        (on, _, on_dev), (off, _, off_dev), (ref, _, ref_dev) = runs
+        assert all(result.halted for _, result, _ in runs)
+        ram = [s.machine.ram.read_bytes(0, s.machine.ram.size)
+               for s, _, _ in runs]
+        assert ram[0] == ram[1] == ram[2]
+        snaps = [s.state.snapshot() for s, _, _ in runs]
+        assert snaps[0] == snaps[1] == snaps[2]
+        fbs = [(s.machine.framebuffer.pixels,
+                s.machine.framebuffer.pixel_writes) for s, _, _ in runs]
+        assert fbs[0] == fbs[1] == fbs[2]
+        assert on_dev.data == off_dev.data == ref_dev.data
+        # The dial contract: device traffic, faults and every molecule
+        # count match the simulated VLIW exactly.
+        assert on_dev.log == off_dev.log
+        assert on.machine.framebuffer.mmio_accesses == \
+            off.machine.framebuffer.mmio_accesses
+        assert _dial_invisible_stats(on.stats) == \
+            _dial_invisible_stats(off.stats)
+        assert on.interpreter.exceptions_delivered == \
+            ref.interpreter.exceptions_delivered
+        # The template inlines the access exactly when no page it
+        # touches holds I/O; the loop's other store is plain RAM.
+        pages = on.machine.bus.io_pages
+        io_page = pages[addr >> 12] or pages[(addr + size - 1) >> 12]
+        if on.stats.jit_dispatches:
+            assert bool(on.stats.jit_slow_mem_ops) == bool(io_page)
+
+    def test_reordered_straddling_load_faults_spec_mmio(self):
+        # A 4-byte load at 0x9FFFE starts in RAM and ends in the
+        # framebuffer: the hoisted (reordered) atom must take the slow
+        # path and raise SPEC_MMIO, exactly as the VLIW does.
+        source = _window_program(0x9FFFE, store=False, size=4)
+        on, _, _ = _run_on_extra_machine(source, FAST)
+        off, _, _ = _run_on_extra_machine(source, NO_JIT)
+        assert on.stats.faults["SPEC_MMIO"] >= 1
+        assert on.stats.faults == off.stats.faults
+        assert on.stats.jit_bailouts["fault-spec_mmio"] >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(addr=st.sampled_from(_WINDOW_ADDRS), size=st.sampled_from([1, 2, 4]),
+           store=st.booleans(), reordered=st.booleans(), io_ok=st.booleans())
+    def test_template_matches_vliw_at_host_level(self, addr, size, store,
+                                                 reordered, io_ok):
+        # Covers the 2-byte atoms no guest instruction produces.
+        sides = []
+        for use_jit in (True, False):
+            machine, device = _machine_with_extra_region()
+            cpu, stats, jit = _host_cpu(machine)
+            access = Atom(AtomKind.ST, rs1=TEMP_BASE, rs2=TEMP_BASE + 1,
+                          size=size, reordered=reordered, io_ok=io_ok) \
+                if store else Atom(AtomKind.LD, rd=0, rs1=TEMP_BASE,
+                                   size=size, reordered=reordered,
+                                   io_ok=io_ok)
+            translation = _host_translation(
+                _mol(Atom(AtomKind.MOVI, rd=TEMP_BASE, imm=addr),
+                     Atom(AtomKind.MOVI, rd=TEMP_BASE + 1, imm=0xA1B2C3D4)),
+                _mol(access))
+            info = (jit.run if use_jit else cpu.run)(translation)
+            fault = info.fault
+            sides.append((
+                info.kind, fault and (fault.kind, fault.paddr),
+                list(cpu.regs.working), list(cpu.regs.shadow),
+                cpu.molecules_executed, cpu.atoms_executed,
+                machine.ram.read_bytes(0, machine.ram.size),
+                machine.framebuffer.pixels, device.data, device.log))
+            if use_jit:
+                pages = machine.bus.io_pages
+                io_page = pages[addr >> 12] or \
+                    pages[(addr + size - 1) >> 12]
+                assert stats.jit_slow_mem_ops == (1 if io_page else 0)
+                is_io = machine.bus.is_io(addr, size)
+                spec = is_io and (reordered or not io_ok)
+                assert (info.kind is ExitKind.FAULT) == spec
+                if spec:
+                    assert fault.kind is HostFaultKind.SPEC_MMIO
+        assert sides[0] == sides[1]
+
+    def test_region_added_after_compile_diverts_cached_template(self):
+        machine = Machine()
+        cpu, stats, jit = _host_cpu(machine)
+        machine.ram.write32(0x100000, 0x11223344)
+        translation = _host_translation(
+            _mol(Atom(AtomKind.MOVI, rd=TEMP_BASE, imm=0x100000)),
+            _mol(Atom(AtomKind.LD, rd=0, rs1=TEMP_BASE, size=4,
+                      io_ok=True)))
+
+        assert jit.run(translation).kind is ExitKind.EXITED
+        template = translation.host_code
+        assert template is not None
+        assert cpu.regs.shadow[0] == 0x11223344
+        assert stats.jit_slow_mem_ops == 0
+
+        device = MemoryDevice(0x10)
+        device.data[:4] = (0xCAFEF00D).to_bytes(4, "little")
+        machine.bus.add_region(MMIORegion(0x100000, 0x10, device, "late"))
+        assert jit.run(translation).kind is ExitKind.EXITED
+        assert translation.host_code is template  # no recompile
+        assert stats.jit_compiles == 1
+        assert stats.jit_slow_mem_ops == 1
+        assert cpu.regs.shadow[0] == 0xCAFEF00D
+        assert device.log == [("r", 0, 4)]
