@@ -3,9 +3,9 @@
 Every other benchmark in this directory compares *molecule counts* —
 the paper's metric, measuring the quality of the code CMS generates.
 This one times the *host*: how many guest instructions per second the
-reproduction retires, and how much the engineering dials in
-``CMSConfig`` (decode cache, fast bus routing, dispatcher fast paths,
-and the template JIT) buy over the seed's execution paths.  The two
+reproduction retires, and how much the host-speed dials in
+``CMSConfig`` (``HOST_SPEED_DIALS``: the decode cache, the template JIT
+and the software TLB) buy over the seed's execution paths.  The two
 metrics are deliberately orthogonal: every row below asserts that
 console output and molecule counts are bit-identical with the
 optimizations on and off, so the dials can never change *what* is
@@ -17,19 +17,16 @@ Each translating row also times an interpreter-only run of the same
 workload, and the **headline gate** asserts the paper's premise holds
 in wall-clock terms: with the template JIT on, the CMS path beats
 interpretation on every workload (``cms_vs_interp_speedup >= 1.0``,
-measured margins are 2-4x).  The interpreter-dominated quake row keeps
-its own 2x optimized-vs-seed gate.
+measured margins are 1.6-3.7x).  The interpreter-dominated quake row
+keeps its own 2x optimized-vs-seed gate.
 
 The ablation attributes the win per dial, each measured best-of-3 on a
 run mode where its mechanism is actually live (the template JIT is a
 no-op interpreter-only; the decode cache is most of the interpreter's
 win).  ``decode_cache`` and ``template_jit`` have decisive margins and
-hard floors; ``fast_bus_routing`` and ``fast_dispatch`` buy only a few
-percent at workload scale — below run-to-run noise — so their rows
-gate at "never hurts" (>= 0.9 best-of-3) and the routing win is
-instead asserted deterministically by a mechanism-level
-micro-benchmark (bisect + RAM-limit short-circuit vs the seed's linear
-scan over a mixed RAM/MMIO address sample).
+hard floors; ``mmu_tlb`` gates at "never hurts" (>= 0.85 best-of-3).
+Every host-speed dial has exactly one row here (a tier-1 test pins
+this), so a dial cannot exist without its measurement.
 
 Superblock traces change the comparison's character: unlike the host
 dials above, trace formation changes *what code CMS generates*, so
@@ -64,7 +61,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from common import BASELINE, emit_telemetry, print_table, run_timed
 
@@ -92,8 +88,6 @@ MIN_CMS_SPEEDUP = 1.0  # every workload: CMS path vs interpreter-only
 # docstring), not claims that the dial is free.
 ABLATIONS = (
     ("decode_cache", "compress", True, 1.3),
-    ("fast_dispatch", "compress", True, 0.85),
-    ("fast_bus_routing", "multimedia", True, 0.85),
     ("template_jit", "compress", False, 1.5),
     # The software TLB is live only once the guest turns paging on
     # (dos_boot never does): with it off, every access (and every
@@ -102,8 +96,6 @@ ABLATIONS = (
     ("mmu_tlb", "winnt_boot", True, 0.85),
 )
 ABLATION_ROUNDS = 3  # best-of-N timing for every ablation config
-
-MIN_ROUTING_MICRO_SPEEDUP = 1.2  # bisect routing vs linear scan
 
 # Superblock traces (PR 7): on/off per workload, best-of-3 each side.
 # quake_demo2 is the workload where the mechanism pays off end to end
@@ -275,42 +267,6 @@ def _trace_compare(budget: int | None) -> dict:
     return out
 
 
-def _routing_micro() -> dict:
-    """Mechanism-level gate for ``fast_bus_routing``: the bisect +
-    RAM-limit routing must beat the seed's linear region scan on a
-    mixed RAM/MMIO address sample.  Deterministic where the workload
-    ablation is percent-level noise."""
-    from repro.machine import Machine
-
-    bus = Machine().bus
-    addrs = (
-        [(i * 7919) % (1 << 22) for i in range(2048)]
-        + [0xFFF00000 + (i % 4096) for i in range(512)]
-        + [0x000A0000 + (i % 65536) for i in range(512)]
-    )
-
-    def sweep(fast: bool) -> float:
-        bus.set_fast_routing(fast)
-        best = float("inf")
-        for _ in range(ABLATION_ROUNDS):
-            start = time.perf_counter()
-            for _ in range(20):
-                for addr in addrs:
-                    bus.is_io(addr, 4)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    sweep(True)  # warm up allocator/caches off the books
-    fast_secs = sweep(True)
-    linear_secs = sweep(False)
-    return {
-        "fast_seconds": round(fast_secs, 4),
-        "linear_seconds": round(linear_secs, 4),
-        "micro_speedup": round(linear_secs / fast_secs, 3)
-        if fast_secs else 0.0,
-    }
-
-
 def _collect() -> dict:
     budget = _budget()
     workloads = {}
@@ -323,7 +279,6 @@ def _collect() -> dict:
         "workloads": workloads,
         "ablation": _ablate(budget),
         "traces": _trace_compare(budget),
-        "routing_micro": _routing_micro(),
     }
 
 
@@ -368,11 +323,6 @@ def _emit(report: dict) -> None:
             f"{entry['modeled_cycles_per_instr_off']:.2f} cyc/instr, "
             f"{entry['traces_formed']} traces)",
         ))
-    micro = report["routing_micro"]
-    table.append((
-        "routing micro",
-        f"bisect {micro['micro_speedup']:.2f}x vs linear scan",
-    ))
     budget = report["budget"]
     print_table(
         "Wall-clock (host instructions/second, optimizations vs seed)",
@@ -451,12 +401,6 @@ def _check(report: dict) -> None:
         assert speedup >= MIN_TRACE_FLOOR, (
             f"traces {name}: {speedup:.3f}x < floor {MIN_TRACE_FLOOR}x"
         )
-    micro = report["routing_micro"]
-    assert micro["micro_speedup"] >= MIN_ROUTING_MICRO_SPEEDUP, (
-        f"routing micro-benchmark: bisect only "
-        f"{micro['micro_speedup']:.2f}x vs linear "
-        f"(< {MIN_ROUTING_MICRO_SPEEDUP}x)"
-    )
 
 
 if __name__ == "__main__":

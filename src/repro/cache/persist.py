@@ -47,12 +47,13 @@ from dataclasses import dataclass, field, fields
 
 from repro.cache.tcache import (Translation, compute_range_digests,
                                 digest_bytes)
+from repro.cms.config import HOST_SPEED_DIALS
 from repro.host.atoms import AluOp, Atom, AtomKind
 from repro.host.molecule import Molecule, Slot
 from repro.translator.policies import TranslationPolicy
 
 SNAPSHOT_FORMAT = "repro-cms-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: CMSConfig fields that never affect what a translation computes or
 #: whether it is valid: run-local observability, host-speed dials,
@@ -60,8 +61,8 @@ SNAPSHOT_VERSION = 1
 _CONFIG_EXCLUDE = frozenset({
     "snapshot_path", "snapshot_save", "snapshot_strict_config",
     "obs_enabled", "obs_jsonl_path", "obs_histogram_buckets",
-    "decode_cache", "fast_bus_routing", "fast_dispatch", "template_jit",
     "chaos_rate", "chaos_seed", "chaos_tenant",
+    *HOST_SPEED_DIALS,
 })
 
 #: Atom fields that are chain state (dispatcher-owned, re-established

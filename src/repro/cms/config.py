@@ -9,7 +9,13 @@ translations (§3.6.3), disable self-revalidation (§3.6.2), and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+#: The host-speed dials: ``CMSConfig`` fields that change how fast the
+#: simulator runs on the host, never what it computes.  Snapshot config
+#: digests exclude them and ``seed_performance()`` turns them all off;
+#: each one has its ablation row in ``benchmarks/bench_wallclock.py``.
+HOST_SPEED_DIALS = ("decode_cache", "template_jit", "mmu_tlb")
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,13 @@ class CMSConfig:
 
     # Observability (PR 4).  ``obs_enabled`` gates the whole layer —
     # phase timing, per-region hot-spot attribution, the metrics
-    # registry, and JSONL telemetry; off (the default) the dispatcher
-    # pays one attribute test per phase and runs are guaranteed
-    # molecule-identical to an obs-less build.  ``obs_jsonl_path``
-    # additionally streams events and the run summary to a rotated
-    # JSONL file.  The bucket bounds apply to every histogram the
-    # runtime creates (fixed at construction; deterministic).
+    # registry, and JSONL telemetry; off (the default) every phase is
+    # timed by the null profiler, which never reads a clock, and runs
+    # are guaranteed molecule-identical to an obs-less build.
+    # ``obs_jsonl_path`` additionally streams events and the run
+    # summary to a rotated JSONL file.  The bucket bounds apply to
+    # every histogram the runtime creates (fixed at construction;
+    # deterministic).
     obs_enabled: bool = False
     obs_jsonl_path: str | None = None
     obs_histogram_buckets: tuple[int, ...] = tuple(2**i for i in range(13))
@@ -142,14 +149,13 @@ class CMSConfig:
     snapshot_save: bool = False
     snapshot_strict_config: bool = True
 
-    # Wall-clock engineering dials (see EXPERIMENTS.md).  These change
-    # how fast the *simulator* runs on the host, never what it computes:
-    # molecule counts, CostModel charges, and console output are
-    # bit-identical with every combination of these flags.  They exist
-    # so `benchmarks/bench_wallclock.py` can attribute the speedup.
+    # Host-speed dials (``HOST_SPEED_DIALS``; see EXPERIMENTS.md).
+    # These change how fast the *simulator* runs on the host, never
+    # what it computes: molecule counts, CostModel charges, and console
+    # output are bit-identical with every combination of these flags.
+    # They exist so `benchmarks/bench_wallclock.py` can attribute the
+    # speedup.
     decode_cache: bool = True  # memoize decode() keyed by paddr
-    fast_bus_routing: bool = True  # bisect MMIO routing + RAM fast path
-    fast_dispatch: bool = True  # dispatcher/recovery fast paths
     template_jit: bool = True  # lower committed translations to Python
     mmu_tlb: bool = True  # software TLB over the guest page table
 
@@ -157,14 +163,8 @@ class CMSConfig:
 
     def interpreter_only(self) -> "CMSConfig":
         """A configuration that never translates (the reference engine)."""
-        from dataclasses import replace
-
         return replace(self, translation_threshold=2**62)
 
     def seed_performance(self) -> "CMSConfig":
-        """All wall-clock optimizations off (the seed's execution paths)."""
-        from dataclasses import replace
-
-        return replace(self, decode_cache=False, fast_bus_routing=False,
-                       fast_dispatch=False, template_jit=False,
-                       mmu_tlb=False)
+        """Every host-speed dial off (the seed's execution paths)."""
+        return replace(self, **dict.fromkeys(HOST_SPEED_DIALS, False))

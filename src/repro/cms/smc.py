@@ -33,6 +33,7 @@ from repro.isa.encoder import immediate_field_offset
 from repro.memory.finegrain import GRANULE_SIZE
 from repro.memory.physical import PAGE_SIZE, page_of
 from repro.memory.protection import ProtectionMap, StoreClass
+from repro.obs.phases import NULL_PHASES
 
 
 class SMCManager:
@@ -41,7 +42,7 @@ class SMCManager:
     def __init__(self, config: CMSConfig, tcache: TranslationCache,
                  groups: TranslationGroups, protection: ProtectionMap,
                  machine, stats: CMSStats, controller, trace=None,
-                 degrade=None) -> None:
+                 degrade=None, phases=NULL_PHASES) -> None:
         from repro.cms.trace import EventTrace
 
         self.trace = trace if trace is not None else EventTrace(enabled=False)
@@ -56,6 +57,7 @@ class SMCManager:
         # SMC manager in isolation): feeds invalidation storms into the
         # ladder and keeps group reactivation honest about tiers.
         self.degrade = degrade
+        self.phases = phases  # times inline service as "smc-service"
         self._spurious_faults: Counter = Counter()  # per translation id
         self._genuine_smc: Counter = Counter()  # per entry eip
         self._smc_write_sites: dict[int, set[int]] = {}  # entry -> paddrs
@@ -110,29 +112,30 @@ class SMCManager:
         faults, and spurious faults on translations without prologues
         return False and take the rollback + recovery path.
         """
-        if fault.store_class is StoreClass.FAULT_MISS:
-            self.protection.handle_miss(fault.page)
+        with self.phases.phase("smc-service"):
+            if fault.store_class is StoreClass.FAULT_MISS:
+                self.protection.handle_miss(fault.page)
+                self.stats.protection_faults += 1
+                self.stats.fg_miss_services += 1
+                return True
+            if fault.store_class is not StoreClass.FAULT_CODE:
+                return False
+            assert fault.paddr is not None and fault.page is not None
+            affected = self._affected_translations(fault)
+            if not affected:
+                # Stale protection state: rebuild the mask and retry.
+                self.stats.protection_faults += 1
+                self.recompute_page(fault.page)
+                return True
+            size = fault.access_size
+            if any(t.overlaps(fault.paddr, size) for t in affected):
+                return False  # genuine SMC: must invalidate, cannot retry
+            if not all(t.prologue_label is not None for t in affected):
+                return False  # someone lacks a prologue: recovery path decides
             self.stats.protection_faults += 1
-            self.stats.fg_miss_services += 1
+            for translation in affected:
+                self._arm_prologue(translation)
             return True
-        if fault.store_class is not StoreClass.FAULT_CODE:
-            return False
-        assert fault.paddr is not None and fault.page is not None
-        affected = self._affected_translations(fault)
-        if not affected:
-            # Stale protection state: rebuild the mask and retry.
-            self.stats.protection_faults += 1
-            self.recompute_page(fault.page)
-            return True
-        size = fault.access_size
-        if any(t.overlaps(fault.paddr, size) for t in affected):
-            return False  # genuine SMC: must invalidate, cannot retry
-        if not all(t.prologue_label is not None for t in affected):
-            return False  # someone lacks a prologue: recovery path decides
-        self.stats.protection_faults += 1
-        for translation in affected:
-            self._arm_prologue(translation)
-        return True
 
     def _affected_translations(self, fault: HostFault) -> list:
         granule_lo = fault.paddr - (fault.paddr % GRANULE_SIZE)

@@ -45,7 +45,7 @@ from repro.machine import Machine
 from repro.memory.finegrain import FineGrainCache
 from repro.memory.physical import PAGE_SHIFT
 from repro.memory.protection import ProtectionMap
-from repro.obs import Observability, ObservationBus
+from repro.obs import NULL_PHASES, Observability, ObservationBus
 from repro.translator.translator import TranslationError, Translator
 
 
@@ -95,16 +95,20 @@ class CodeMorphingSystem:
         # Observability (PR 4): every runtime event is published on the
         # bus; the ring-buffer trace is one sink, and with obs enabled
         # the metrics registry and JSONL telemetry subscribe alongside
-        # it.  ``self.obs is None`` is the disabled fast path — the
-        # dispatcher tests it once per phase.
+        # it.  With obs off, ``self.obs`` is None and the phase timer is
+        # the null profiler, so every phase has one code path.
         self.bus = ObservationBus()
         self.bus.add_sink(self.trace)
         self.obs = Observability(config) if config.obs_enabled else None
-        self._phases = None
+        self._phases = NULL_PHASES
         if self.obs is not None:
             for sink in self.obs.event_sinks():
                 self.bus.add_sink(sink)
             self._phases = self.obs.phases
+        # One guest instruction per call: bound once, so with obs off
+        # an interpreted step pays no phase entry at all.
+        self._interpret = self._phases.timed("interpret",
+                                             self.interpreter.step)
         self.controller = AdaptiveController(config)
         self.degrade = DegradationManager(
             config, self.stats, trace=self.bus,
@@ -115,28 +119,23 @@ class CodeMorphingSystem:
         self.smc = SMCManager(config, self.tcache, self.groups,
                               self.protection, machine, self.stats,
                               self.controller, trace=self.bus,
-                              degrade=self.degrade)
+                              degrade=self.degrade, phases=self._phases)
 
         self.interpreter.store_hook = self.smc.on_interpreter_store
-        if self._phases is None:
-            self.cpu.protection_service = self.smc.service_inline
-        else:
-            self.cpu.protection_service = self._timed_inline_service
+        self.cpu.protection_service = self.smc.service_inline
         self.machine.bus.store_observers.append(self.smc.on_ram_write)
         self.tcache.on_flush = self._on_tcache_flush
         self.tcache.on_evict = self._on_tcache_evict
         self._halted = False
 
-        # Wall-clock engineering dials (cost-model-invisible; the
-        # benchmark harness flips them for attribution).
-        machine.bus.set_fast_routing(config.fast_bus_routing)
+        # Host-speed dial (cost-model-invisible; the benchmark harness
+        # flips it for attribution).
         machine.mmu.set_tlb_enabled(config.mmu_tlb)
         # Mapping-coherency feed (§3.6.1 under paging): when a page
         # table mutation touches a page that carries translated code,
         # chains into its translations are severed so the dispatcher
         # re-verifies the identity mapping before re-entering them.
         machine.mmu.mapping_observers.append(self._on_mapping_changed)
-        self._fast_dispatch = config.fast_dispatch
         # Template JIT (PR 6): committed translations lowered to
         # generated Python (host/jit.py).  Semantics-invisible like the
         # other wall-clock dials; degraded ladder tiers and quarantined
@@ -360,11 +359,6 @@ class CodeMorphingSystem:
                             f"{removed} keys")
         return removed
 
-    def _timed_inline_service(self, fault: HostFault) -> bool:
-        """`service_inline` under the smc-service phase (obs on)."""
-        with self._phases.phase("smc-service"):
-            return self.smc.service_inline(fault)
-
     def health_report(self, run_audit: bool = True) -> HealthReport:
         """Audit the runtime (by default) and snapshot its health."""
         if run_audit:
@@ -452,12 +446,8 @@ class CodeMorphingSystem:
             return
         self._dispatches_since_audit = 0
         try:
-            phases = self._phases
-            if phases is None:
+            with self._phases.phase("audit"):
                 self.auditor.audit()
-            else:
-                with phases.phase("audit"):
-                    self.auditor.audit()
         except Exception as error:  # noqa: BLE001 — audit must not kill us
             if not self.config.failure_containment:
                 raise
@@ -473,24 +463,23 @@ class CodeMorphingSystem:
             return
 
         eip = state.eip
-        if self._fast_dispatch:
-            # While paging is off every address is identity-mapped, so
-            # skip the MMU walk entirely (the overwhelmingly common
-            # case: boots run un-paged and apps identity-map code).
-            if machine.mmu.paging_enabled and not self._identity_mapped(eip):
-                self._interp_step()
-                return
-        elif not self._identity_mapped(eip):
+        # While paging is off every address is identity-mapped, so skip
+        # the MMU walk entirely (the overwhelmingly common case: boots
+        # run un-paged and apps identity-map code).
+        if machine.mmu.paging_enabled and not self._identity_mapped(eip):
             self._interp_step()
             return
         translation = self.tcache.lookup(eip)
         if translation is None or not translation.valid:
-            phases = self._phases
-            if phases is None:
+            # A tcache miss at an anchor: count it and test the threshold
+            # first, so cold code never enters the translate phase.
+            counts = self.profile.anchor_counts
+            counts[eip] = count = counts[eip] + 1
+            if count < self.config.translation_threshold:
+                self._interp_step()
+                return
+            with self._phases.phase("translate"):
                 translation = self._maybe_translate(eip)
-            else:
-                with phases.phase("translate"):
-                    translation = self._maybe_translate(eip)
             if translation is None:
                 self._interp_step()
                 return
@@ -512,18 +501,13 @@ class CodeMorphingSystem:
             jit = None  # degraded regions stay on the simulated VLIW
         engine = self.cpu.run if jit is None else jit.run
         obs = self.obs
-        if obs is None:
+        if obs is not None:
+            retired_before = machine.instructions_retired
+            molecules_before = self.cpu.molecules_executed
+        with self._phases.phase("execute" if jit is None else "jit-execute"):
             exit_info = engine(
                 translation, fuel=self.config.dispatch_fuel_molecules
             )
-        else:
-            retired_before = machine.instructions_retired
-            molecules_before = self.cpu.molecules_executed
-            phase = "execute" if jit is None else "jit-execute"
-            with obs.phases.phase(phase):
-                exit_info = engine(
-                    translation, fuel=self.config.dispatch_fuel_molecules
-                )
         self.stats.chains_followed += exit_info.chains_followed
         current = exit_info.translations_entered[-1]
         current.entries += 1
@@ -565,11 +549,8 @@ class CodeMorphingSystem:
         self._rollback(current)
         self.bus.record(Event.ROLLBACK, self.state.eip,
                         exit_info.fault.kind.name)
-        if self._phases is None:
+        with self._phases.phase("fault-service"):
             self._handle_fault(exit_info.fault, current)
-        else:
-            with self._phases.phase("fault-service"):
-                self._handle_fault(exit_info.fault, current)
 
     def _identity_mapped(self, eip: int) -> bool:
         """Translations are only reused for identity-mapped code.
@@ -625,27 +606,18 @@ class CodeMorphingSystem:
                 self.tcache.unchain_incoming(translation)
 
     def _rollback(self, translation: Translation | None = None) -> None:
-        """Roll host state back, under the rollback phase when obs on."""
-        phases = self._phases
-        if phases is None:
+        """Roll host state back under the rollback phase."""
+        with self._phases.phase("rollback"):
             self.cpu.rollback()
-        else:
-            with phases.phase("rollback"):
-                self.cpu.rollback()
-            if translation is not None:
-                self.obs.note_rollback(translation.entry_eip)
+        if self.obs is not None and translation is not None:
+            self.obs.note_rollback(translation.entry_eip)
         self.stats.rollbacks += 1
 
     def _interp_step(self) -> None:
-        phases = self._phases
-        if phases is None:
-            outcome = self.interpreter.step()
-        else:
-            with phases.phase("interpret"):
-                outcome = self.interpreter.step()
+        outcome = self._interpret()
         if outcome.instr is not None or outcome.took_exception:
             self.stats.interp_instructions += 1
-            if phases is not None:
+            if self.obs is not None:
                 self.obs.note_interp()
 
     def _note_trace_exit(self, translation: Translation, atom) -> bool:
@@ -789,19 +761,7 @@ class CodeMorphingSystem:
     # ------------------------------------------------------------------
 
     def _maybe_translate(self, eip: int) -> Translation | None:
-        if self._fast_dispatch:
-            # The dispatcher just missed the tcache for this eip; bump
-            # the anchor count and test the threshold in one probe
-            # instead of re-deriving the count through the profile.
-            counts = self.profile.anchor_counts
-            counts[eip] = count = counts[eip] + 1
-            if count < self.config.translation_threshold:
-                return None
-        else:
-            self.profile.on_anchor(eip)
-            if self.profile.anchor_counts[eip] < \
-                    self.config.translation_threshold:
-                return None
+        """Translate (or reactivate) a hot anchor; None to interpret."""
         # Code identity first: if the guest loaded different code at
         # this address, version-specific escalations (including a stale
         # interpreter pin in stop_addrs) are reset before they gate
@@ -871,17 +831,11 @@ class CodeMorphingSystem:
         self.tcache.invalidate_translation(translation)
         stale_pages = translation.pages()
         replacement = None
-        phases = self._phases
         try:
-            if phases is None:
+            with self._phases.phase("translate"):
                 replacement = self.translator.translate(
                     entry, self.degrade.clamp(entry, policy),
                     unroll_baseline=unroll_baseline)
-            else:
-                with phases.phase("translate"):
-                    replacement = self.translator.translate(
-                        entry, self.degrade.clamp(entry, policy),
-                        unroll_baseline=unroll_baseline)
         except TranslationError:
             pass
         except Exception as error:  # noqa: BLE001 — containment point
@@ -947,12 +901,8 @@ class CodeMorphingSystem:
             # Inline service already declined: genuine SMC, page-level
             # protection, or a spurious fault needing adaptation.  The
             # faulting store then re-executes through the interpreter.
-            phases = self._phases
-            if phases is None:
+            with self._phases.phase("smc-service"):
                 self.smc.on_protection_fault(fault)
-            else:
-                with phases.phase("smc-service"):
-                    self.smc.on_protection_fault(fault)
             self._interp_step()
             return
         if kind is HostFaultKind.SELF_CHECK:
@@ -1025,14 +975,7 @@ class CodeMorphingSystem:
         fault was an artifact of speculation and is simply ignored,
         §3.2).
         """
-        if self._fast_dispatch:
-            region_addrs = translation.region_addrs()
-        else:
-            region_addrs = {
-                addr
-                for start, length in translation.code_ranges
-                for addr in range(start, start + length)
-            }
+        region_addrs = translation.region_addrs()
         cap = self.config.recovery_interp_cap
         for step in range(cap):
             if self.state.eip not in region_addrs:

@@ -53,11 +53,13 @@ class InterruptController:
     # ------------------------------------------------------------------
 
     def has_pending(self) -> bool:
-        return self._deliverable() != 0
+        # Pending, unmasked and not in service.  Polled before every
+        # dispatch and every interpreted instruction, so spelled inline.
+        return (self._pending & ~self._mask & ~self._in_service) != 0
 
     def pending_vector(self) -> int | None:
         """Highest-priority deliverable vector, or None."""
-        deliverable = self._deliverable()
+        deliverable = self._pending & ~self._mask & ~self._in_service
         if not deliverable:
             return None
         irq = (deliverable & -deliverable).bit_length() - 1
@@ -73,9 +75,6 @@ class InterruptController:
     # ------------------------------------------------------------------
     # Guest-visible registers
     # ------------------------------------------------------------------
-
-    def _deliverable(self) -> int:
-        return self._pending & ~self._mask & ~self._in_service
 
     def _read_pending(self) -> int:
         return self._pending

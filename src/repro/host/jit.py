@@ -46,6 +46,7 @@ from repro.host.registers import R_EIP, R_IF
 from repro.host.store_buffer import BufferedStore
 from repro.isa.flags import parity
 from repro.memory.physical import PAGE_SHIFT
+from repro.obs.phases import NULL_PHASES
 
 MASK32 = 0xFFFFFFFF
 SIGN32 = 0x80000000
@@ -483,7 +484,7 @@ class TemplateJIT:
     the template could not lower.
     """
 
-    def __init__(self, cpu, stats=None, phases=None) -> None:
+    def __init__(self, cpu, stats=None, phases=NULL_PHASES) -> None:
         self.cpu = cpu
         self.stats = stats
         self.phases = phases
@@ -496,12 +497,8 @@ class TemplateJIT:
             return fn
         if translation.id in self._uncompilable:
             return None
-        phases = self.phases
-        if phases is None:
+        with self.phases.phase("jit-compile"):
             fn = compile_translation(translation, self.cpu, self.stats)
-        else:
-            with phases.phase("jit-compile"):
-                fn = compile_translation(translation, self.cpu, self.stats)
         stats = self.stats
         if fn is None:
             self._uncompilable.add(translation.id)

@@ -25,7 +25,8 @@ copies agree).
 
 from __future__ import annotations
 
-from repro.state import FLAG_SLOTS, GuestState
+from repro.isa import flags as fl
+from repro.state import FLAG_SLOT_BITS, FLAG_SLOTS, GuestState
 
 MASK32 = 0xFFFFFFFF
 
@@ -86,32 +87,51 @@ class HostBackedGuestState(GuestState):
     """
 
     def __init__(self, regfile: HostRegisterFile) -> None:
-        self._rf = regfile
+        # The register file updates both lists in place (commit and
+        # rollback copy slices), so the view can hold them directly.
+        self._working = regfile.working
+        self._shadow = regfile.shadow
 
-    def _write(self, index: int, value: int) -> None:
-        value &= MASK32
-        self._rf.working[index] = value
-        self._rf.shadow[index] = value
+    # Every write stores working and shadow together.  The accessors
+    # below each spell that out rather than share a helper: together
+    # they run several times per interpreted instruction.
 
     def get_reg(self, index: int) -> int:
-        return self._rf.shadow[index]
+        return self._shadow[index]
 
     def set_reg(self, index: int, value: int) -> None:
-        self._write(index, value)
+        self._working[index] = self._shadow[index] = value & MASK32
 
     def get_flag(self, slot: int) -> int:
-        return self._rf.shadow[R_FLAG_BASE + slot]
+        return self._shadow[R_FLAG_BASE + slot]
 
     def set_flag(self, slot: int, value: int) -> None:
-        self._write(R_FLAG_BASE + slot, 1 if value else 0)
+        index = R_FLAG_BASE + slot
+        self._working[index] = self._shadow[index] = 1 if value else 0
+
+    # GuestState's generic flag helpers, specialized to the register
+    # file (same results).
+
+    @property
+    def interrupts_enabled(self) -> bool:
+        return self._shadow[R_IF] != 0
+
+    def set_arith_flags(self, flags: int, mask: int = fl.ARITH_FLAGS) -> None:
+        working = self._working
+        shadow = self._shadow
+        for reg, bit in _FLAG_REG_BITS:
+            if bit & mask:
+                working[reg] = shadow[reg] = 1 if flags & bit else 0
 
     @property
     def eip(self) -> int:
-        return self._rf.shadow[R_EIP]
+        return self._shadow[R_EIP]
 
     @eip.setter
     def eip(self, value: int) -> None:
-        self._write(R_EIP, value)
+        self._working[R_EIP] = self._shadow[R_EIP] = value & MASK32
 
 
 assert len(FLAG_SLOTS) == 6, "flag slot layout must match register plan"
+_FLAG_REG_BITS = tuple((R_FLAG_BASE + slot, bit)
+                       for slot, bit in enumerate(FLAG_SLOT_BITS))

@@ -41,7 +41,7 @@ class Halted(Exception):
     """The guest executed ``hlt`` with interrupts disabled: workload end."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """What one interpreter step did (consumed by profiling and CMS)."""
 
@@ -50,6 +50,21 @@ class StepOutcome:
     took_interrupt: bool = False
     took_exception: bool = False
     touched_mmio: bool = False
+
+
+# x86 condition codes by ``index >> 1`` (the low bit negates), each
+# reading only the flags it needs through ``get_flag`` (slots: CF 0,
+# PF 1, ZF 2, SF 3, OF 4).
+_CONDITIONS = (
+    lambda flag: flag(4),  # jo/jno
+    lambda flag: flag(0),  # jb/jae
+    lambda flag: flag(2),  # je/jne
+    lambda flag: flag(0) | flag(2),  # jbe/ja
+    lambda flag: flag(3),  # js/jns
+    lambda flag: flag(1),  # jp/jnp
+    lambda flag: flag(3) ^ flag(4),  # jl/jge
+    lambda flag: (flag(3) ^ flag(4)) | flag(2),  # jle/jg
+)
 
 
 class Interpreter:
@@ -88,8 +103,9 @@ class Interpreter:
         instructions whose device time already passed).
         """
         state = self.state
+        machine = self.machine
         if state.interrupts_enabled:
-            vector = self.machine.pending_vector()
+            vector = machine.pic.pending_vector()
             if vector is not None:
                 try:
                     self._deliver_interrupt(vector)
@@ -102,18 +118,18 @@ class Interpreter:
                 raise Halted()
             # Waiting for an interrupt: let device time advance.
             if tick:
-                self.machine.tick(1)
+                machine.tick(1)
             return StepOutcome(addr=state.eip)
 
         addr = state.eip
         self._touched_mmio = False
         try:
             icache = self.icache
-            if icache is not None and not self.machine.mmu.paging_enabled:
+            if icache is not None and not machine.mmu.paging_enabled:
                 entry = icache.entries.get(addr)
                 if entry is None:
                     icache.misses += 1
-                    instr = decode(self.machine, addr)
+                    instr = decode(machine, addr)
                     handler = _DISPATCH.get(instr.op)
                     if handler is None:
                         raise AssertionError(f"no handler for {instr.op!r}")
@@ -123,7 +139,7 @@ class Interpreter:
                     instr, handler = entry
                 handler(self, instr)
             else:
-                instr = decode(self.machine, addr)
+                instr = decode(machine, addr)
                 self.execute(instr)
         except Halted:
             raise
@@ -136,17 +152,20 @@ class Interpreter:
                 # fault of a real PC, which shuts the machine down.
                 raise Halted() from None
             if tick:
-                self.machine.tick(1)
+                machine.tick(1)
             return StepOutcome(addr=addr, took_exception=True)
         self.steps += 1
-        if self.profile is not None:
-            self.profile.on_exec(addr)
+        profile = self.profile
+        if profile is not None:
+            profile.on_exec(addr)
             if self._touched_mmio:
-                self.profile.on_mmio(addr)
+                profile.on_mmio(addr)
         if tick:
-            self.machine.tick(1)
-        return StepOutcome(addr=addr, instr=instr,
-                           touched_mmio=self._touched_mmio)
+            machine.tick(1)
+        # Positional: keyword construction costs measurably more, once
+        # per instruction.  (addr, instr, took_interrupt, took_exception,
+        # touched_mmio)
+        return StepOutcome(addr, instr, False, False, self._touched_mmio)
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Run until ``hlt`` (with IF=0) or the step budget; returns steps."""
@@ -210,18 +229,22 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _load(self, vaddr: int, size: int) -> int:
-        paddr = self.machine.vtranslate(vaddr, size, is_write=False)
-        if self.machine.bus.is_io(paddr, size):
+        machine = self.machine
+        paddr = machine.vtranslate(vaddr, size, is_write=False)
+        bus = machine.bus
+        if bus.is_io(paddr, size):
             self._touched_mmio = True
-        return self.machine.bus.read(paddr, size)
+        return bus.read(paddr, size)
 
     def _store(self, vaddr: int, value: int, size: int) -> None:
-        paddr = self.machine.vtranslate(vaddr, size, is_write=True)
-        if self.machine.bus.is_io(paddr, size):
+        machine = self.machine
+        paddr = machine.vtranslate(vaddr, size, is_write=True)
+        bus = machine.bus
+        if bus.is_io(paddr, size):
             self._touched_mmio = True
         elif self.store_hook is not None:
             self.store_hook(paddr, size)
-        self.machine.bus.write(paddr, value, size)
+        bus.write(paddr, value, size)
 
     # ------------------------------------------------------------------
     # Execution
@@ -497,25 +520,11 @@ class Interpreter:
     def _op_ret(self, instr: Instruction) -> None:
         self.state.eip = self._pop()
 
-    def condition(self, op: Op) -> bool:
-        """Evaluate a Jcc condition against the current flags."""
-        return self.condition_code(op - Op.JO)
-
     def condition_code(self, index: int) -> bool:
         """Evaluate x86 condition code ``index`` (0..15)."""
-        state = self.state
-        cf, pf_, zf, sf, of = (state.get_flag(i) for i in range(5))
-        base = index >> 1
-        value = (
-            of,  # jo/jno
-            cf,  # jb/jae
-            zf,  # je/jne
-            cf | zf,  # jbe/ja
-            sf,  # js/jns
-            pf_,  # jp/jnp
-            sf ^ of,  # jl/jge
-            (sf ^ of) | zf,  # jle/jg
-        )[base]
+        # Reads only the flags the condition needs (this runs on every
+        # conditional branch the interpreter executes).
+        value = _CONDITIONS[index >> 1](self.state.get_flag)
         taken = bool(value)
         if index & 1:
             taken = not taken
@@ -532,10 +541,12 @@ class Interpreter:
         self.state.eip = instr.next_addr
 
     def _op_jcc(self, instr: Instruction) -> None:
-        taken = self.condition(instr.op)
+        taken = self.condition_code(instr.op - Op.JO)
         if self.profile is not None:
             self.profile.on_branch(instr.addr, taken)
-        self.state.eip = instr.branch_target if taken else instr.next_addr
+        # ``branch_target`` without its format assertion: Jcc is REL.
+        self.state.eip = ((instr.next_addr + instr.disp) & MASK32 if taken
+                          else instr.next_addr)
 
     # -- I/O and system -----------------------------------------------------
 

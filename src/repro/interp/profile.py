@@ -40,20 +40,15 @@ class ExecutionProfile:
         self.exec_counts: Counter[int] = Counter()
         self.branch_bias: dict[int, BranchBias] = {}
         self.mmio_sites: set[int] = set()
+        # Executions at potential translation entries, counted by the
+        # dispatcher.  Anchors are the addresses it looked up and missed
+        # — branch targets reached from outside any translation.  The
+        # translation threshold applies to anchors, so translations
+        # start at real control-flow join points rather than mid-trace.
         self.anchor_counts: Counter[int] = Counter()
 
     def on_exec(self, addr: int) -> None:
         self.exec_counts[addr] += 1
-
-    def on_anchor(self, addr: int) -> None:
-        """Count an execution at a potential translation entry.
-
-        Anchors are the addresses the dispatcher looked up and missed —
-        branch targets reached from outside any translation.  The
-        translation threshold applies to anchors, so translations start
-        at real control-flow join points rather than mid-trace.
-        """
-        self.anchor_counts[addr] += 1
 
     def on_branch(self, addr: int, taken: bool) -> None:
         bias = self.branch_bias.get(addr)

@@ -101,7 +101,10 @@ class Machine:
                            "framebuffer")
             )
 
-        self._tickers = (self.timer, self.dma, self.disk, self.nic)
+        # Bound ``tick`` methods, called once per retired instruction
+        # while interpreting.
+        self._tickers = tuple(device.tick for device in (
+            self.timer, self.dma, self.disk, self.nic))
         self.instructions_retired = 0
 
     def add_ticker(self, device) -> None:
@@ -111,7 +114,7 @@ class Machine:
         injectors in device time, so that two machines running the same
         guest observe identical asynchronous event timing.
         """
-        self._tickers = (*self._tickers, device)
+        self._tickers = (*self._tickers, device.tick)
 
     # ------------------------------------------------------------------
     # Program loading
@@ -152,7 +155,10 @@ class Machine:
 
     def vtranslate(self, vaddr: int, size: int, is_write: bool) -> int:
         """Translate without performing the access (the host's TLB path)."""
-        return self.mmu.translate_range(vaddr & MASK32, size, is_write)
+        mmu = self.mmu
+        if not mmu.paging_enabled:
+            return vaddr & MASK32  # identity, and nothing is counted
+        return mmu.translate_range(vaddr & MASK32, size, is_write)
 
     # ------------------------------------------------------------------
     # Time
@@ -163,9 +169,5 @@ class Machine:
         if instructions <= 0:
             return
         self.instructions_retired += instructions
-        for device in self._tickers:
-            device.tick(instructions)
-
-    def pending_vector(self) -> int | None:
-        """Highest-priority deliverable interrupt vector, if any."""
-        return self.pic.pending_vector()
+        for tick in self._tickers:
+            tick(instructions)

@@ -15,12 +15,9 @@ accesses to these regions must abort.
 Routing is the hottest query in the whole simulator (every data access
 and, without the decode cache, every code byte consults it), so it runs
 over base-sorted region arrays with ``bisect`` plus a pure-RAM fast
-path for addresses below the lowest MMIO base.  The naive linear scan
-survives as the reference implementation: ``set_fast_routing(False)``
-switches the bus back to it (the seed behavior) for ablation runs, and
-the property tests check the two agree on randomized region layouts.
-Both ``region_at`` and ``is_io`` route through the same sorted-probe
-helper, so there is a single routing implementation per mode.
+path for addresses below the lowest MMIO base.  It is the only router;
+the property tests check it against a linear-scan model on randomized
+region layouts.
 
 Translated code gets a third, page-granular view, ``io_pages`` (see
 ``MemoryBus``): the template JIT inlines a load or store only when no
@@ -61,9 +58,6 @@ class MMIORegion:
     handler: MMIOHandler
     name: str = "mmio"
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
 
 class MemoryBus:
     """Routes physical accesses to RAM or MMIO regions.
@@ -93,17 +87,12 @@ class MemoryBus:
         self.store_observers: list[Callable[[int, int], None]] = []
         self.io_reads = 0
         self.io_writes = 0
-        self.fast_routing = True
         # Base-sorted routing arrays, rebuilt by add_region.
         self._sorted_regions: list[MMIORegion] = []
         self._bases: list[int] = []
         self._ends: list[int] = []
         self._ram_limit = _NO_MMIO_LIMIT  # lowest MMIO base
         self.io_pages = bytearray(ram.size >> PAGE_SHIFT)
-
-    def set_fast_routing(self, enabled: bool) -> None:
-        """Select bisect routing (default) or the linear reference."""
-        self.fast_routing = bool(enabled)
 
     def add_region(self, region: MMIORegion) -> None:
         for existing in self.regions:
@@ -130,8 +119,6 @@ class MemoryBus:
     # ------------------------------------------------------------------
 
     def region_at(self, addr: int) -> MMIORegion | None:
-        if not self.fast_routing:
-            return self._linear_region_at(addr)
         if addr < self._ram_limit:
             return None  # below every MMIO base: pure RAM
         i = bisect_right(self._bases, addr) - 1
@@ -141,8 +128,6 @@ class MemoryBus:
 
     def is_io(self, addr: int, size: int = 1) -> bool:
         """True if any byte of [addr, addr+size) falls in an MMIO region."""
-        if not self.fast_routing:
-            return self._linear_is_io(addr, size)
         if addr + size <= self._ram_limit:
             return False  # wholly below every MMIO base: pure RAM
         i = bisect_right(self._bases, addr) - 1
@@ -150,21 +135,6 @@ class MemoryBus:
             return True
         i += 1
         return i < len(self._bases) and self._bases[i] < addr + size
-
-    # The seed's linear scans, kept as the executable reference for
-    # ablation (`fast_routing=False`) and for the routing property test.
-
-    def _linear_region_at(self, addr: int) -> MMIORegion | None:
-        for region in self.regions:
-            if region.contains(addr):
-                return region
-        return None
-
-    def _linear_is_io(self, addr: int, size: int = 1) -> bool:
-        for region in self.regions:
-            if addr < region.base + region.size and region.base < addr + size:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Access paths.  Reads/writes raise guest #GP for addresses that hit
@@ -180,7 +150,7 @@ class MemoryBus:
         if size != 4 and size != 1 and size != 2:
             raise ValueError(f"unsupported access size {size} "
                              f"(must be 1, 2, or 4)")
-        if self.fast_routing and addr + size <= self._ram_limit:
+        if addr + size <= self._ram_limit:
             region = None  # pure-RAM fast path: below every MMIO base
         else:
             region = self.region_at(addr)
@@ -204,7 +174,7 @@ class MemoryBus:
         if size != 4 and size != 1 and size != 2:
             raise ValueError(f"unsupported access size {size} "
                              f"(must be 1, 2, or 4)")
-        if self.fast_routing and addr + size <= self._ram_limit:
+        if addr + size <= self._ram_limit:
             region = None
         else:
             region = self.region_at(addr)

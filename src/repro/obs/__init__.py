@@ -21,7 +21,7 @@ from repro.obs.metrics import (
     HistogramMetric,
     MetricsRegistry,
 )
-from repro.obs.phases import PhaseProfiler, PhaseStat
+from repro.obs.phases import NULL_PHASES, PhaseProfiler, PhaseStat
 from repro.obs.telemetry import SCHEMA_VERSION, TelemetrySink, read_jsonl
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
+    "NULL_PHASES",
     "PhaseProfiler",
     "PhaseStat",
     "SCHEMA_VERSION",

@@ -3,8 +3,8 @@
 One :class:`Observability` instance bundles the four pillars —
 metrics registry, phase profiler, hot-spot profiler, telemetry sink —
 behind the handful of calls the dispatcher makes.  The dispatcher
-holds ``None`` instead when ``CMSConfig.obs_enabled`` is off, so the
-disabled cost is a single attribute test on paths that matter.
+holds ``None`` instead when ``CMSConfig.obs_enabled`` is off, and
+times its phases with ``NULL_PHASES`` (see :mod:`repro.obs.phases`).
 """
 
 from __future__ import annotations

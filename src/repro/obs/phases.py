@@ -12,11 +12,16 @@ in the deterministic core (metrics, molecule accounting, adaptation
 decisions) may consume them, which is why the perf-regression gate
 treats them as advisory.  The clock is injectable so the unit tests
 run against a synthetic deterministic one.
+
+With observability off, ``NULL_PHASES`` stands in for the profiler, so
+the dispatcher keeps one code path per phase whether or not it is
+being timed.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 
@@ -68,6 +73,22 @@ class PhaseProfiler:
     def phase(self, name: str) -> _Phase:
         return _Phase(self, name)
 
+    def timed(self, name: str, fn):
+        """``fn`` wrapped to run under phase ``name``.
+
+        For call sites too hot to enter a phase on every call (one per
+        interpreted instruction): they bind the result once.  The null
+        profiler hands back ``fn`` itself, so with observability off a
+        call costs nothing extra.
+        """
+        phase = _Phase(self, name)
+
+        def timed_fn(*args, **kwargs):
+            with phase:
+                return fn(*args, **kwargs)
+
+        return timed_fn
+
     def _enter(self, name: str) -> None:
         self._stack.append(_Frame(name, self._clock()))
 
@@ -117,3 +138,22 @@ class PhaseProfiler:
     def reset(self) -> None:
         self._nodes.clear()
         self._stack.clear()
+
+
+class NullPhaseProfiler:
+    """The profiler used with observability off: ``phase()`` returns
+    one shared no-op context manager, ``timed()`` returns the function
+    unwrapped, and no clock is ever read."""
+
+    __slots__ = ()
+
+    _NULL = nullcontext()
+
+    def phase(self, name: str) -> nullcontext:
+        return self._NULL
+
+    def timed(self, name: str, fn):
+        return fn
+
+
+NULL_PHASES = NullPhaseProfiler()

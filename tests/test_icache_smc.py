@@ -6,7 +6,7 @@ tests patch code through every write path that reaches RAM — an
 interpreter store, a DMA transfer, and a committed translated store —
 and assert that the next fetch decodes the *new* bytes, by comparing
 the full architectural outcome against a run with the cache disabled
-(``seed_performance``).  A wrong result here would be silent staleness:
+(``decode_cache=False``).  A wrong result here would be silent staleness:
 the guest would keep executing the old instruction.
 
 Also covered: the cache's page-granular invalidation unit behavior and
@@ -15,6 +15,8 @@ output or molecule counts.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro import CMSConfig, CodeMorphingSystem, Machine
 from repro.isa.icache import DecodedInstructionCache
@@ -26,10 +28,8 @@ FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
 
 def run_interp(source: str, decode_cache: bool = True,
                max_instructions: int = 2_000_000):
-    """Run under the interpreter only, with or without the dials."""
-    config = FAST.interpreter_only()
-    if not decode_cache:
-        config = config.seed_performance()
+    """Run under the interpreter only, with or without the decode cache."""
+    config = replace(FAST.interpreter_only(), decode_cache=decode_cache)
     machine = Machine()
     entry = machine.load_source(source)
     system = CodeMorphingSystem(machine, config)

@@ -300,6 +300,35 @@ class TestMemoryOps:
         assert state.get_flag(ZF)
 
 
+class TestConditionCodes:
+    # The x86 definitions, indexed by condition code >> 1; the low bit
+    # of the code negates.
+    REFERENCE = (
+        lambda cf, pf, zf, sf, of: of,
+        lambda cf, pf, zf, sf, of: cf,
+        lambda cf, pf, zf, sf, of: zf,
+        lambda cf, pf, zf, sf, of: cf | zf,
+        lambda cf, pf, zf, sf, of: sf,
+        lambda cf, pf, zf, sf, of: pf,
+        lambda cf, pf, zf, sf, of: sf ^ of,
+        lambda cf, pf, zf, sf, of: (sf ^ of) | zf,
+    )
+
+    def test_every_code_under_every_flag_combination(self):
+        state = SimpleGuestState()
+        interp = Interpreter(Machine(), state)
+        for bits in range(32):
+            flags = [(bits >> slot) & 1 for slot in range(5)]
+            for slot, value in enumerate(flags):
+                state.set_flag(slot, value)
+            for index in range(16):
+                expected = bool(self.REFERENCE[index >> 1](*flags))
+                if index & 1:
+                    expected = not expected
+                assert interp.condition_code(index) is expected, (
+                    index, flags)
+
+
 class TestControlFlow:
     def test_call_ret(self):
         _, state, _ = run_program("""

@@ -15,8 +15,10 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import run_cms
+from test_cms_smc import SAME_GRANULE_PROGRAM
 from repro import CMSConfig
 from repro.obs import (
+    NULL_PHASES,
     SCHEMA_VERSION,
     EventCountSink,
     HistogramMetric,
@@ -196,6 +198,28 @@ class TestPhaseProfiler:
         prof.reset()
         assert prof.stats() == []
 
+    def test_null_profiler_shares_one_no_op_phase(self):
+        phase = NULL_PHASES.phase("interpret")
+        assert NULL_PHASES.phase("translate") is phase
+        with phase:
+            with NULL_PHASES.phase("rollback"):
+                pass
+
+    def test_timed_wraps_only_when_profiling(self):
+        def step(value, scale=1):
+            now[0] += 2.0
+            return value * scale
+
+        assert NULL_PHASES.timed("interpret", step) is step
+        now = [0.0]
+        prof = PhaseProfiler(clock=lambda: now[0])
+        timed = prof.timed("interpret", step)
+        assert timed(3, scale=2) == 6
+        assert timed(1) == 1
+        snap = prof.snapshot()
+        assert snap["interpret"]["calls"] == 2
+        assert snap["interpret"]["seconds"] == pytest.approx(4.0)
+
 
 # ----------------------------------------------------------------------
 # Hot-spot profiler
@@ -330,6 +354,7 @@ class TestSystemIntegration:
             == off_system.stats.as_dict(FAST.cost)
         )
         assert off_system.obs is None
+        assert off_system._phases is NULL_PHASES
         assert on_system.obs is not None
 
     def test_obs_on_attributes_the_hot_region(self):
@@ -349,6 +374,26 @@ class TestSystemIntegration:
         # (the default) and "execute" on the simulated-VLIW path.
         assert "execute" in phases or "jit-execute" in phases
         assert "interpret" in phases
+
+    def test_obs_on_times_every_phase_site(self):
+        """Every site the null profiler stands in for with obs off is
+        timed with obs on: an SMC workload with frequent audits reaches
+        them all (matched by leaf name, wherever they nest)."""
+        config = replace(FAST, obs_enabled=True, audit_interval=4)
+        system, result = run_cms(SAME_GRANULE_PROGRAM, config)
+        assert result.halted
+        snapshot = system.obs.phases.snapshot()
+        leaves = {path.rsplit("/", 1)[-1] for path in snapshot}
+        assert leaves >= {
+            "interpret",
+            "translate",
+            "jit-execute",
+            "rollback",
+            "fault-service",
+            "smc-service",
+            "jit-compile",
+            "audit",
+        }
 
     def test_run_summary_telemetry(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -33,6 +33,7 @@ from repro.cache.persist import (
     inspect_snapshot,
     read_snapshot_file,
 )
+from repro.cms.config import HOST_SPEED_DIALS
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
 
@@ -321,6 +322,16 @@ class TestRejection:
         assert "configuration" in str(system.snapshot_error)
         assert system.stats.snapshot_translations_loaded == 0
         assert len(system.tcache) == 0
+
+    @pytest.mark.parametrize("dial", HOST_SPEED_DIALS)
+    def test_host_speed_dial_off_loads_under_strict_config(self, snap_path,
+                                                           dial):
+        cold_save(snap_path, config=replace(FAST, **{dial: False}))
+        system, _ = warm_system(snap_path)
+        assert system.config.snapshot_strict_config
+        assert system.snapshot_error is None
+        assert system.snapshot_report.config_matched
+        assert system.stats.snapshot_translations_loaded > 0
 
     def test_lenient_config_mismatch_loads_anyway(self, snap_path):
         cold_save(snap_path)

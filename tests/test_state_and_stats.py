@@ -64,6 +64,30 @@ class TestGuestStateViews:
         assert state.get_flag(FLAG_SLOTS.index("zf")) == 1
         assert state.get_flag(FLAG_SLOTS.index("sf")) == 0
 
+    def test_host_backed_flag_helpers_match_generic(self):
+        """HostBackedGuestState specializes set_arith_flags and
+        interrupts_enabled; both must agree with GuestState's generic
+        versions, and every write must land in working and shadow."""
+        masks = (fl.ARITH_FLAGS, fl.ARITH_FLAGS & ~fl.CF, fl.ZF | fl.SF,
+                 fl.ARITH_FLAGS | fl.IF, 0)
+        for start in (0, 1):
+            for flags in range(0, 0x1000, 0x41):
+                for mask in masks:
+                    simple = SimpleGuestState()
+                    regfile = HostRegisterFile()
+                    host = HostBackedGuestState(regfile)
+                    for state in (simple, host):
+                        for slot in range(len(FLAG_SLOTS)):
+                            state.set_flag(slot, start)
+                        state.set_arith_flags(flags, mask)
+                    assert [host.get_flag(slot)
+                            for slot in range(len(FLAG_SLOTS))] == \
+                        [simple.get_flag(slot)
+                         for slot in range(len(FLAG_SLOTS))]
+                    assert host.interrupts_enabled is \
+                        simple.interrupts_enabled
+                    assert regfile.in_sync()
+
     def test_snapshot_hashable_and_sensitive(self):
         state = SimpleGuestState()
         first = state.snapshot()
