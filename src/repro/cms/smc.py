@@ -28,6 +28,7 @@ from repro.cache.groups import TranslationGroups
 from repro.cache.tcache import Translation, TranslationCache
 from repro.cms.config import CMSConfig
 from repro.cms.stats import CMSStats
+from repro.cms.trace import Event, EventTrace
 from repro.host.faults import HostFault
 from repro.isa.encoder import immediate_field_offset
 from repro.memory.finegrain import GRANULE_SIZE
@@ -43,8 +44,6 @@ class SMCManager:
                  groups: TranslationGroups, protection: ProtectionMap,
                  machine, stats: CMSStats, controller, trace=None,
                  degrade=None, phases=NULL_PHASES) -> None:
-        from repro.cms.trace import EventTrace
-
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.config = config
         self.tcache = tcache
@@ -221,8 +220,6 @@ class SMCManager:
         translation.prologue_armed = True
         translation.entry_label = translation.prologue_label
         self.stats.revalidations_armed += 1
-        from repro.cms.trace import Event
-
         self.trace.record(Event.REVALIDATE_ARM, translation.entry_eip)
         for page in translation.pages():
             self.recompute_page(page)
@@ -233,8 +230,6 @@ class SMCManager:
         translation.entry_label = "body"
         self.stats.revalidations_passed += 1
         self.protect_translation(translation)
-        from repro.cms.trace import Event
-
         self.trace.record(Event.REVALIDATE_PASS, translation.entry_eip)
 
     def _on_genuine_smc(self, translation: Translation, paddr: int,
@@ -304,8 +299,6 @@ class SMCManager:
         else:
             self.tcache.invalidate_translation(translation)
         self.stats.smc_invalidations += 1
-        from repro.cms.trace import Event
-
         self.trace.record(Event.SMC_INVALIDATE, translation.entry_eip)
         if self.degrade is not None:
             # Invalidate ping-pong between overlapping translations is a
@@ -336,9 +329,7 @@ class SMCManager:
         )
         if replacement is None:
             return None
-        self.tcache.insert(replacement)
-        self.protect_translation(replacement)
-        self.stats.group_reactivations += 1
+        self._reactivate(replacement)
         return replacement
 
     def _learn_from_diff(self, translation: Translation) -> None:
@@ -402,10 +393,15 @@ class SMCManager:
         if required.merge(replacement.policy) != replacement.policy:
             self.groups.retire(replacement)  # put it back; translate fresh
             return None
-        self.tcache.insert(replacement)
-        self.protect_translation(replacement)
-        self.stats.group_reactivations += 1
+        self._reactivate(replacement)
         return replacement
+
+    def _reactivate(self, translation: Translation) -> None:
+        """Make a matched group version resident again (§3.6.5)."""
+        self.tcache.insert(translation)
+        self.protect_translation(translation)
+        self.stats.group_reactivations += 1
+        self.trace.record(Event.GROUP_REACTIVATE, translation.entry_eip)
 
     def _read_ranges(self, ranges) -> bytes:
         return b"".join(

@@ -29,6 +29,7 @@ from repro.obs import (
     TelemetrySink,
     read_jsonl,
 )
+from repro.scenarios.runner import PROCESS_DEPENDENT
 
 HOT_LOOP = """
 start:
@@ -349,10 +350,14 @@ class TestSystemIntegration:
         )
         assert off_result.halted and on_result.halted
         assert on_result.console_output == off_result.console_output
-        assert (
-            on_system.stats.as_dict(FAST.cost)
-            == off_system.stats.as_dict(FAST.cost)
-        )
+
+        def counters(system):
+            stats = system.stats.as_dict(FAST.cost)
+            for key in PROCESS_DEPENDENT:
+                del stats[key]
+            return stats
+
+        assert counters(on_system) == counters(off_system)
         assert off_system.obs is None
         assert off_system._phases is NULL_PHASES
         assert on_system.obs is not None

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import CMSConfig
 from repro.cache.groups import TranslationGroups
 from repro.cache.tcache import Translation, TranslationCache
 from repro.host.atoms import Atom, AtomKind
 from repro.host.molecule import Molecule
 from repro.memory.physical import PAGE_SIZE
 from repro.translator.policies import TranslationPolicy
+
+from conftest import run_cms
 
 
 def make_translation(entry=0x1000, length=32, molecules=4,
@@ -234,3 +237,60 @@ class TestGroups:
         groups.retire(b)
         assert groups.match(0x1000, b"\x01" * 32) is a
         assert groups.match(0x2000, b"\x01" * 32) is b
+
+
+# A plain hot counted loop: translated and JIT-compiled within a
+# test-sized run.
+HOT_LOOP = """
+        mov ecx, 400
+        mov eax, 0
+loop:   add eax, 3
+        xor eax, ecx
+        sub ecx, 1
+        jnz loop
+        hlt
+"""
+HOT_CONFIG = CMSConfig(translation_threshold=4)
+
+
+class TestFlushDropsParkedCallables:
+    """Regression: ``tcache.flush()`` nulled ``host_code`` on resident
+    translations but left compiled JIT callables alive on group-parked
+    retired versions — a whole generation of generated functions kept
+    reachable by the group table after the cache decided to drop
+    everything."""
+
+    def test_flush_drops_parked_host_code(self):
+        system, _ = run_cms(HOT_LOOP, HOT_CONFIG)
+        compiled = [t for t in system.tcache.translations()
+                    if t.host_code is not None]
+        assert compiled, "JIT should have compiled the loop"
+        translation = compiled[0]
+        # Park it the way SMC version churn does: out of the cache,
+        # into the group table, callable still attached.
+        system.tcache.remove(translation)
+        system.groups.retire(translation)
+        assert translation.host_code is not None
+
+        system.tcache.flush()
+
+        parked = [t for versions in
+                  system.groups.export_versions().values()
+                  for t in versions]
+        assert translation in parked, \
+            "flush must not drop the version itself"
+        assert all(t.host_code is None for t in parked), \
+            "flush left compiled callables on group-parked versions"
+
+    def test_flush_drops_resident_host_code(self):
+        system, _ = run_cms(HOT_LOOP, HOT_CONFIG)
+        residents = system.tcache.translations()
+        assert any(t.host_code is not None for t in residents)
+        system.tcache.flush()
+        assert all(t.host_code is None for t in residents)
+
+    def test_evicted_victims_lose_host_code(self):
+        system, _ = run_cms(HOT_LOOP, HOT_CONFIG)
+        victims = system.tcache.evict_cold(fraction=1.0)
+        assert victims
+        assert all(t.host_code is None for t in victims)
