@@ -13,7 +13,7 @@ Metric classification follows the observability layer's split:
   budget and must match the baseline exactly (``--counter-tolerance``
   can relax this to a relative band if a future metric needs it);
 * **timing metrics** (any leaf whose name contains ``seconds``,
-  ``ips``, ``speedup``, or ``slowdown``) are host-dependent and are
+  ``ips``, or ``speedup``) are host-dependent and are
   checked against ``--timing-tolerance`` — or only reported, never
   failed, under ``--timing-advisory`` (what CI uses: budgeted smoke
   runs are dominated by startup noise).
@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 
-TIMING_MARKERS = ("seconds", "ips", "speedup", "slowdown")
+TIMING_MARKERS = ("seconds", "ips", "speedup")
 
 OK, REGRESSION, INCOMPARABLE = 0, 1, 2
 

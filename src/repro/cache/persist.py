@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, fields
 
 from repro.cache.tcache import (Translation, compute_range_digests,
                                 digest_bytes)
-from repro.cms.config import HOST_SPEED_DIALS
 from repro.host.atoms import AluOp, Atom, AtomKind
 from repro.host.molecule import Molecule, Slot
 from repro.translator.policies import TranslationPolicy
@@ -56,13 +55,12 @@ SNAPSHOT_FORMAT = "repro-cms-snapshot"
 SNAPSHOT_VERSION = 3
 
 #: CMSConfig fields that never affect what a translation computes or
-#: whether it is valid: run-local observability, host-speed dials,
-#: chaos injection, and the snapshot dials themselves.
+#: whether it is valid: run-local observability, chaos injection, and
+#: the snapshot dials themselves.
 _CONFIG_EXCLUDE = frozenset({
     "snapshot_path", "snapshot_save", "snapshot_strict_config",
     "obs_enabled", "obs_jsonl_path", "obs_histogram_buckets",
     "chaos_rate", "chaos_seed", "chaos_tenant",
-    *HOST_SPEED_DIALS,
 })
 
 #: Atom fields that are chain state (dispatcher-owned, re-established

@@ -11,12 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-#: The host-speed dials: ``CMSConfig`` fields that change how fast the
-#: simulator runs on the host, never what it computes.  Snapshot config
-#: digests exclude them and ``seed_performance()`` turns them all off;
-#: each one has its ablation row in ``benchmarks/bench_wallclock.py``.
-HOST_SPEED_DIALS = ("decode_cache", "template_jit", "mmu_tlb")
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -123,28 +117,14 @@ class CMSConfig:
     # runs); ``snapshot_save`` additionally writes the snapshot back at
     # ``shutdown()``.  ``snapshot_strict_config`` rejects — whole, never
     # partially applied — a snapshot taken under a different
-    # speculation/SMC dial set (run-local dials like obs/chaos and the
-    # wall-clock flags are excluded from the comparison).
+    # speculation/SMC dial set (run-local dials like obs/chaos are
+    # excluded from the comparison).
     snapshot_path: str | None = None
     snapshot_save: bool = False
     snapshot_strict_config: bool = True
-
-    # Host-speed dials (``HOST_SPEED_DIALS``; see EXPERIMENTS.md).
-    # These change how fast the *simulator* runs on the host, never
-    # what it computes: molecule counts, CostModel charges, and console
-    # output are bit-identical with every combination of these flags.
-    # They exist so `benchmarks/bench_wallclock.py` can attribute the
-    # speedup.
-    decode_cache: bool = True  # memoize decode() keyed by paddr
-    template_jit: bool = True  # lower committed translations to Python
-    mmu_tlb: bool = True  # software TLB over the guest page table
 
     cost: CostModel = field(default_factory=CostModel)
 
     def interpreter_only(self) -> "CMSConfig":
         """A configuration that never translates (the reference engine)."""
         return replace(self, translation_threshold=2**62)
-
-    def seed_performance(self) -> "CMSConfig":
-        """Every host-speed dial off (the seed's execution paths)."""
-        return replace(self, **dict.fromkeys(HOST_SPEED_DIALS, False))

@@ -127,29 +127,22 @@ class CodeMorphingSystem:
         self.tcache.on_evict = self._on_tcache_evict
         self._halted = False
 
-        # Host-speed dial (cost-model-invisible; the benchmark harness
-        # flips it for attribution).
-        machine.mmu.set_tlb_enabled(config.mmu_tlb)
         # Mapping-coherency feed (§3.6.1 under paging): when a page
         # table mutation touches a page that carries translated code,
         # chains into its translations are severed so the dispatcher
         # re-verifies the identity mapping before re-entering them.
         machine.mmu.mapping_observers.append(self._on_mapping_changed)
         # Template JIT (PR 6): committed translations lowered to
-        # generated Python (host/jit.py).  Semantics-invisible like the
-        # other wall-clock dials; degraded ladder tiers and quarantined
-        # regions keep the simulated-VLIW path.
-        self.jit = (TemplateJIT(self.cpu, stats=self.stats,
-                                phases=self._phases)
-                    if config.template_jit else None)
-        self.icache = DecodedInstructionCache() if config.decode_cache \
-            else None
-        if self.icache is not None:
-            self.interpreter.icache = self.icache
-            # Same coherence feed the SMC manager uses: every RAM store
-            # through the bus — interpreter stores, committed translated
-            # stores draining at commit, DMA and disk writes.
-            machine.bus.store_observers.append(self.icache.on_ram_write)
+        # generated Python (host/jit.py), with ``HostCPU.run``'s exact
+        # contract.  Degraded ladder tiers and JIT bailouts run on the
+        # simulated VLIW.
+        self.jit = TemplateJIT(self.cpu, stats=self.stats,
+                               phases=self._phases)
+        self.icache = self.interpreter.icache = DecodedInstructionCache()
+        # Same coherence feed the SMC manager uses: every RAM store
+        # through the bus — interpreter stores, committed translated
+        # stores draining at commit, DMA and disk writes.
+        machine.bus.store_observers.append(self.icache.on_ram_write)
 
         # Chaos mode (fuzz harness): deterministically raise internal
         # errors inside the translator so the containment layer can be
@@ -494,16 +487,14 @@ class CodeMorphingSystem:
 
         self.stats.dispatches += 1
         self._maybe_audit()
-        jit = self.jit
-        if jit is not None and \
-                self.degrade.tier_of(eip) is not Tier.AGGRESSIVE:
-            jit = None  # degraded regions stay on the simulated VLIW
-        engine = self.cpu.run if jit is None else jit.run
+        # Degraded regions stay on the simulated VLIW.
+        aggressive = self.degrade.tier_of(eip) is Tier.AGGRESSIVE
+        engine = self.jit.run if aggressive else self.cpu.run
         obs = self.obs
         if obs is not None:
             retired_before = machine.instructions_retired
             molecules_before = self.cpu.molecules_executed
-        with self._phases.phase("execute" if jit is None else "jit-execute"):
+        with self._phases.phase("jit-execute" if aggressive else "execute"):
             exit_info = engine(
                 translation, fuel=self.config.dispatch_fuel_molecules
             )

@@ -7,6 +7,8 @@ paper's correctness story appeals to.  Each generated program runs once
 under the reference, then once per dial variant under full CMS; any
 difference in final architectural state — registers, eip, flags,
 console output, guest RAM, or delivered fault counts — is a mismatch.
+So is a contained error or an audit repair outside a chaos variant:
+containment must never hide a bug from the oracle.
 
 For injected (asynchronous) runs the stack scratch region is excluded
 from the RAM comparison: interrupt *delivery points* are not
@@ -19,6 +21,7 @@ halting, see ``genprog``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.cms.config import CMSConfig
 from repro.cms.system import CodeMorphingSystem
@@ -31,21 +34,6 @@ from repro.state import FLAG_SLOTS
 # Every variant translates eagerly so short fuzz programs actually
 # exercise the translated paths, and re-faults adapt quickly.
 _BASE = CMSConfig(translation_threshold=4, fault_threshold=2)
-
-
-@dataclass(frozen=True)
-class DialVariant:
-    """One named point in the CMSConfig dial space.
-
-    ``snapshot_roundtrip`` runs the program twice — a cold run that
-    saves a warm-start snapshot, then a warm run that reloads it — and
-    differentially checks the *warm* outcome, so the persistence layer
-    (PR 5) sits inside the fuzzing oracle.
-    """
-
-    name: str
-    config: CMSConfig
-    snapshot_roundtrip: bool = False
 
 
 def default_matrix() -> tuple[DialVariant, ...]:
@@ -66,13 +54,12 @@ def default_matrix() -> tuple[DialVariant, ...]:
         DialVariant("no-groups-no-reval",
                     replace(_BASE, translation_groups=False,
                             self_revalidation=False, stylized_smc=False)),
-        DialVariant("seed-paths", _BASE.seed_performance()),
-        # Template JIT (PR 6): _BASE runs with the JIT on, so every
-        # variant above already differentially checks JIT-generated code
-        # against the interpreter; this variant pins the simulated-VLIW
-        # path on the same programs, closing the three-way
-        # JIT / VLIW / interpreter comparison.
-        DialVariant("no-template-jit", replace(_BASE, template_jit=False)),
+        # Every variant above runs AGGRESSIVE regions through the
+        # template JIT, so each already checks JIT-generated code
+        # against the interpreter; this one pins the simulated VLIW on
+        # the same programs, closing the three-way JIT / VLIW /
+        # interpreter comparison.
+        DialVariant("vliw-pinned", _BASE, runner=execute_on_vliw),
         # Every campaign also exercises the conservative rungs of the
         # degradation ladder: regions start (and stay) at NO_REORDER, so
         # the clamped-policy translation paths are differentially
@@ -83,7 +70,7 @@ def default_matrix() -> tuple[DialVariant, ...]:
         # Persistence (PR 5): cold run saves, warm run reloads and
         # revalidates; the warm run must still match the interpreter.
         DialVariant("snapshot-roundtrip", _BASE,
-                    snapshot_roundtrip=True),
+                    runner=execute_roundtrip),
     )
 
 
@@ -128,6 +115,9 @@ class RunOutcome:
     exceptions: int
     interrupts: int
     guest_instructions: int
+    # Contained errors plus audit repairs after a final audit; outside
+    # a chaos run either one is a bug the containment layer hid.
+    contained: int = 0
 
 
 def execute(program: FuzzProgram, config: CMSConfig,
@@ -148,6 +138,7 @@ def execute(program: FuzzProgram, config: CMSConfig,
         FaultInjector(machine, program.plan)
     result = system.run(entry, max_instructions=max_instructions)
     system.shutdown()  # persists the warm-start snapshot when configured
+    health = system.health_report(run_audit=True)
     regs, eip, flags = system.state.snapshot()
     ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
     for start, end in program.ram_masks():
@@ -162,6 +153,7 @@ def execute(program: FuzzProgram, config: CMSConfig,
         exceptions=system.interpreter.exceptions_delivered,
         interrupts=system.interpreter.interrupts_delivered,
         guest_instructions=result.guest_instructions,
+        contained=health.contained_errors + health.audit_repairs,
     )
 
 
@@ -193,6 +185,38 @@ def execute_roundtrip(program: FuzzProgram, config: CMSConfig,
     finally:
         if os.path.exists(path):
             os.unlink(path)
+
+
+def execute_on_vliw(program: FuzzProgram, config: CMSConfig,
+                    max_instructions: int = 400_000,
+                    cms_factory=None) -> RunOutcome:
+    """``execute`` with every translation run on the simulated VLIW.
+
+    ``TemplateJIT.run`` has ``HostCPU.run``'s exact contract, so the
+    VLIW is a drop-in reference for the JIT.
+    """
+    def pin(system: CodeMorphingSystem) -> None:
+        system.jit.run = system.cpu.run
+        if cms_factory is not None:
+            cms_factory(system)
+
+    return execute(program, config, max_instructions, pin)
+
+
+@dataclass(frozen=True)
+class DialVariant:
+    """One named point in the CMSConfig dial space.
+
+    ``runner`` executes the program under ``config``: ``execute``,
+    ``execute_on_vliw``, or ``execute_roundtrip``, which runs it twice —
+    a cold run that saves a warm-start snapshot, then a warm run that
+    reloads it — and returns the *warm* outcome, so the persistence
+    layer (PR 5) sits inside the fuzzing oracle.
+    """
+
+    name: str
+    config: CMSConfig
+    runner: Callable[..., RunOutcome] = execute
 
 
 def compare(ref: RunOutcome, cms: RunOutcome) -> list[str]:
@@ -254,11 +278,12 @@ def run_differential(program: FuzzProgram,
         return []
     mismatches = []
     for variant in variants:
-        runner = execute_roundtrip if variant.snapshot_roundtrip \
-            else execute
-        cms = runner(program, variant.config, max_instructions,
-                     cms_factory=cms_factory)
+        cms = variant.runner(program, variant.config, max_instructions,
+                             cms_factory=cms_factory)
         diffs = compare(ref, cms)
+        if cms.contained and not variant.config.chaos_rate:
+            diffs.append(f"containment: {cms.contained} contained errors "
+                         f"or audit repairs outside a chaos run")
         if diffs:
             mismatches.append(Mismatch(program, variant, diffs))
     return mismatches

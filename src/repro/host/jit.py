@@ -29,10 +29,11 @@ Semantics are bit-identical to ``HostCPU.run`` by construction:
 * any host fault raises the same ``HostFaultError`` the dispatcher
   already handles, so rollback and recovery are unchanged.
 
-The wall-clock dial contract of ``CMSConfig`` holds: with
-``template_jit`` on or off, console output and every molecule count are
-identical; only host seconds change.  The differential fuzz oracle
-checks this over the whole dial matrix (``fuzz/oracle.py``).
+``TemplateJIT.run`` therefore has ``HostCPU.run``'s exact contract:
+with the simulated VLIW pinned in its place, console output and every
+molecule count are identical; only host seconds change.  The
+differential fuzz oracle checks this on every program
+(``fuzz/oracle.py``, the ``vliw-pinned`` variant).
 """
 
 from __future__ import annotations

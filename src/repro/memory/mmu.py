@@ -58,7 +58,6 @@ class MMU:
         self.translations = 0
         self.faults = 0
         # Host-side TLB + stats (never architecturally visible).
-        self.tlb_enabled = True
         self.mapping_epoch = 0
         self.mapping_observers: list[Callable[[int | None], None]] = []
         self.tlb_hits = 0
@@ -91,13 +90,6 @@ class MMU:
             self.paging_enabled = False
             self._mapping_changed(None)
 
-    def set_tlb_enabled(self, enabled: bool) -> None:
-        """Host dial: turn the software TLB off (every translation
-        walks) or on.  Architecturally invisible either way."""
-        if self.tlb_enabled != bool(enabled):
-            self.tlb_enabled = bool(enabled)
-            self._tlb.clear()
-
     # ------------------------------------------------------------------
     # Architectural translation
     # ------------------------------------------------------------------
@@ -109,11 +101,11 @@ class MMU:
             return vaddr
         self.translations += 1
         vpn = vaddr >> PAGE_SHIFT
-        pte = self._tlb.get(vpn) if self.tlb_enabled else None
+        pte = self._tlb.get(vpn)
         if pte is None:
             self.walks += 1
             pte = self._walk(vpn)
-            if self.tlb_enabled and pte & PTE_PRESENT:
+            if pte & PTE_PRESENT:
                 self._tlb[vpn] = pte
         else:
             self.tlb_hits += 1
@@ -160,14 +152,14 @@ class MMU:
             return vaddr
         self.probes += 1
         vpn = vaddr >> PAGE_SHIFT
-        pte = self._tlb.get(vpn) if self.tlb_enabled else None
+        pte = self._tlb.get(vpn)
         if pte is None:
             self.probe_walks += 1
             try:
                 pte = self._walk(vpn)
             except GuestException:
                 return None
-            if self.tlb_enabled and pte & PTE_PRESENT:
+            if pte & PTE_PRESENT:
                 self._tlb[vpn] = pte
         else:
             self.tlb_hits += 1

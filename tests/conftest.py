@@ -109,14 +109,58 @@ def build_machine(machine_config: MachineConfig | None = None) -> Machine:
     return Machine(machine_config)
 
 
+# ----------------------------------------------------------------------
+# Reference pins: each puts one slow path back under a built system, so
+# a test can compare the fast machinery against what it replaced.
+# ----------------------------------------------------------------------
+
+
+def pin_vliw(system: CodeMorphingSystem) -> None:
+    """Run every translation on the simulated VLIW, never the template
+    JIT (``TemplateJIT.run`` has ``HostCPU.run``'s exact contract)."""
+    system.jit.run = system.cpu.run
+
+
+def pin_uncached_decode(system: CodeMorphingSystem) -> None:
+    """Decode every interpreted instruction from its raw bytes."""
+    system.interpreter.icache = None
+
+
+class WalkEveryTime(dict):
+    """An MMU ``_tlb`` that never keeps an entry: every access walks the
+    guest page table."""
+
+    def __setitem__(self, vpn, pte) -> None:
+        pass
+
+
+def pin_tlb_walks(system: CodeMorphingSystem) -> None:
+    system.machine.mmu._tlb = WalkEveryTime()
+
+
+# Each pin, keyed by the fast machinery it turns off.
+REFERENCE_PINS = {
+    "decode_cache": pin_uncached_decode,
+    "mmu_tlb": pin_tlb_walks,
+    "template_jit": pin_vliw,
+}
+
+
 def run_cms(source: str, config: CMSConfig | None = None,
             machine_config: MachineConfig | None = None,
-            max_instructions: int = 5_000_000):
+            max_instructions: int = 5_000_000, pins=()):
     machine = Machine(machine_config)
     entry = machine.load_source(source)
     system = CodeMorphingSystem(machine, config or CMSConfig())
+    for pin in pins:
+        pin(system)
     result = system.run(entry, max_instructions=max_instructions)
     return system, result
+
+
+def run_workload_cms(workload, config: CMSConfig, pins=()):
+    return run_cms(workload.source, config, workload.machine_config,
+                   workload.max_instructions, pins)
 
 
 def run_both(source: str, config: CMSConfig | None = None,
@@ -136,12 +180,29 @@ def run_both(source: str, config: CMSConfig | None = None,
     return BothResults(ref_system, cms_system, ref_result, cms_result)
 
 
+def assert_nothing_contained(system: CodeMorphingSystem) -> None:
+    """Outside a chaos run, fail on any contained error or audit repair
+    (after a final audit): containment must never hide a bug."""
+    if system.config.chaos_rate:
+        return
+    health = system.health_report(run_audit=True)
+    assert not (health.contained_errors or health.audit_repairs), (
+        f"containment hid a failure outside a chaos run:\n"
+        f"{health.describe()}"
+    )
+
+
 def assert_equivalent(source: str, config: CMSConfig | None = None,
                       machine_config: MachineConfig | None = None,
                       max_instructions: int = 5_000_000,
                       compare_ram: bool = True) -> BothResults:
-    """Run both engines and assert exact architectural equivalence."""
+    """Run both engines and assert exact architectural equivalence.
+
+    Outside a chaos run, a contained error or an audit repair on the
+    CMS side is a failure too: containment must never hide a bug.
+    """
     both = run_both(source, config, machine_config, max_instructions)
+    assert_nothing_contained(both.cms_system)
     assert both.ref_result.halted, "reference run did not halt"
     assert both.cms_result.halted, "CMS run did not halt"
     assert both.cms_result.console_output == \

@@ -26,13 +26,12 @@ def report(**overrides) -> dict:
         "workloads": {
             "compress:baseline": {
                 "guest_instructions": 20755,
-                "seed_seconds": 0.13,
+                "interp_seconds": 0.13,
                 "optimized_seconds": 0.12,
-                "speedup": 1.08,
+                "cms_vs_interp_speedup": 1.08,
                 "identical_output": True,
             },
         },
-        "ablation": {"decode_cache": {"slowdown_without": 2.0}},
     }
     base.update(overrides)
     return base
@@ -89,7 +88,7 @@ def test_budget_mismatch_is_incomparable():
 
 def test_missing_metric_is_incomparable():
     current = report()
-    del current["workloads"]["compress:baseline"]["speedup"]
+    del current["workloads"]["compress:baseline"]["cms_vs_interp_speedup"]
     status, findings = compare_mod.compare(report(), current)
     assert status == compare_mod.INCOMPARABLE
 
@@ -104,10 +103,9 @@ def test_new_metric_is_noted_but_passes():
 
 def test_timing_key_classification():
     for key in (
-        "seed_seconds",
+        "interp_seconds",
         "optimized_ips",
-        "speedup",
-        "slowdown_without",
+        "cms_vs_interp_speedup",
     ):
         assert compare_mod.is_timing_key(key), key
     for key in ("guest_instructions", "identical_output", "budget"):

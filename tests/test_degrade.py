@@ -26,9 +26,10 @@ from repro import CMSConfig, CMSStats, CodeMorphingSystem, Machine
 from repro.cache.tcache import TranslationCache
 from repro.cms.degrade import DegradationManager, Tier
 from repro.translator import TranslationError
+from repro.translator import translator as translator_module
 from repro.translator.policies import TranslationPolicy
 
-from conftest import run_cms
+from conftest import assert_equivalent, assert_nothing_contained, run_cms
 from test_tcache import make_translation
 
 FAST = CMSConfig(translation_threshold=4)
@@ -87,9 +88,10 @@ def make_manager(config=LADDER):
 
 
 def run_vs_reference(source, config, sabotage=None,
-                     max_instructions=5_000_000):
+                     max_instructions=5_000_000, allow_containment=False):
     """Run ``source`` under ``config`` (optionally sabotaged) and assert
-    exact architectural equivalence with the pure interpreter."""
+    exact architectural equivalence with the pure interpreter; outside
+    a chaos run, containment fails the test unless allowed."""
     machine = Machine()
     entry = machine.load_source(source)
     system = CodeMorphingSystem(machine, config)
@@ -108,6 +110,8 @@ def run_vs_reference(source, config, sabotage=None,
     assert system.state.snapshot() == ref_system.state.snapshot()
     assert machine.ram.read_bytes(0, machine.ram.size) == \
         ref_machine.ram.read_bytes(0, ref_machine.ram.size)
+    if not allow_containment:
+        assert_nothing_contained(system)
     return system
 
 
@@ -270,6 +274,19 @@ class TestLadder:
 
 
 class TestContainment:
+    def test_contained_crash_still_fails_assert_equivalent(self,
+                                                            monkeypatch):
+        """Containment keeps the guest's results right, but outside a
+        chaos run the equivalence helper must still report the bug it
+        hid."""
+
+        def broken_optimize(trace, enable_cse=True):
+            raise RuntimeError("synthetic optimizer bug")
+
+        monkeypatch.setattr(translator_module, "optimize", broken_optimize)
+        with pytest.raises(AssertionError, match="containment hid"):
+            assert_equivalent(LOOP, FAST)
+
     def test_translator_crash_contained_and_region_readmitted(self):
         """An internal translator crash never reaches the guest: the
         region is quarantined, later re-admitted, and retranslated."""
@@ -291,7 +308,8 @@ class TestContainment:
 
             system.translator.translate = flaky
 
-        system = run_vs_reference(LOOP, config, sabotage)
+        system = run_vs_reference(LOOP, config, sabotage,
+                                  allow_containment=True)
         stats = system.stats
         assert failures["count"] >= 1, "the sabotage never triggered"
         assert stats.contained_errors == failures["count"]

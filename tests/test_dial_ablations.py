@@ -1,59 +1,32 @@
-"""Every host-speed dial carries its measurement.
+"""Host-speed machinery stays out of the snapshot configuration digest.
 
-``HOST_SPEED_DIALS`` (``repro/cms/config.py``) names the ``CMSConfig``
-fields that change only how fast the simulator runs, never what it
-computes.  Each one must stay out of the snapshot config digest, and
-each one must have exactly one ablation row in
-``benchmarks/bench_wallclock.py``: a dial cannot be added without a
-measurement, and it cannot outlive its row.  The benchmark lives
-outside the package, so it is loaded here straight from its file path.
+The decode cache, the software TLB and the template JIT are not
+``CMSConfig`` fields; a test turns one off only by applying its
+reference pin (``conftest.REFERENCE_PINS``) to a built system.  A
+session run with a pin must save the same configuration digest, and
+the same translations, as one run without.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import fields
 
 import pytest
 
+from conftest import REFERENCE_PINS
 from repro import CMSConfig
 from repro.cache import persist
-from repro.cms.config import HOST_SPEED_DIALS
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-def _load_wallclock():
-    sys.path.insert(0, str(BENCH_DIR))  # for its `common` import
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "bench_wallclock", BENCH_DIR / "bench_wallclock.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH_DIR))
-    return module
+from repro.cache.persist import read_snapshot_file
+from test_persist import FAST, cold_save
 
 
-ABLATIONS = _load_wallclock().ABLATIONS
-
-
-@pytest.mark.parametrize("dial", HOST_SPEED_DIALS)
-def test_dial_is_excluded_from_config_digest(dial):
-    default = CMSConfig()
-    assert dial in {f.name for f in fields(CMSConfig)}
-    assert dial not in persist.config_fingerprint(default)
-    flipped = replace(default, **{dial: not getattr(default, dial)})
-    assert persist.config_digest(flipped) == persist.config_digest(default)
-
-
-@pytest.mark.parametrize("dial", HOST_SPEED_DIALS)
-def test_dial_has_exactly_one_ablation_row(dial):
-    rows = [row for row in ABLATIONS if row[0] == dial]
-    assert len(rows) == 1, f"{dial}: {len(rows)} ablation rows"
-
-
-def test_every_ablation_row_names_a_host_speed_dial():
-    assert {row[0] for row in ABLATIONS} <= set(HOST_SPEED_DIALS)
+@pytest.mark.parametrize("dial", sorted(REFERENCE_PINS))
+def test_dial_is_excluded_from_config_digest(dial, tmp_path):
+    assert dial not in {f.name for f in fields(CMSConfig)}
+    plain, pinned = str(tmp_path / "plain"), str(tmp_path / "pinned")
+    cold_save(plain)
+    cold_save(pinned, pins=(REFERENCE_PINS[dial],))
+    plain, pinned = read_snapshot_file(plain), read_snapshot_file(pinned)
+    assert pinned["config_digest"] == persist.config_digest(FAST)
+    assert pinned["config_digest"] == plain["config_digest"]
+    assert pinned["translations"] == plain["translations"] != []

@@ -66,6 +66,26 @@ class TestOracle:
         with pytest.raises(KeyError):
             variant_by_name("nope")
 
+    def test_vliw_pinned_variant_never_enters_the_jit(self):
+        variant = variant_by_name("vliw-pinned")
+        systems = []
+        variant.runner(generate(3), variant.config,
+                       cms_factory=systems.append)
+        stats = systems[0].stats
+        assert stats.dispatches > 0
+        assert stats.jit_dispatches == 0
+
+    def test_containment_outside_chaos_is_a_mismatch(self):
+        def crash_translator(system):
+            def crash(entry_eip, policy):
+                raise RuntimeError("synthetic translator bug")
+            system.translator.translate = crash
+
+        found = run_differential(generate(3), (variant_by_name("full"),),
+                                 cms_factory=crash_translator)
+        assert found and any(d.startswith("containment")
+                             for d in found[0].diffs)
+
 
 class TestInjector:
     def test_events_fire_at_device_time(self):

@@ -5,42 +5,40 @@ entry only while the bytes it was decoded from are unchanged.  These
 tests patch code through every write path that reaches RAM — an
 interpreter store, a DMA transfer, and a committed translated store —
 and assert that the next fetch decodes the *new* bytes, by comparing
-the full architectural outcome against a run with the cache disabled
-(``decode_cache=False``).  A wrong result here would be silent staleness:
-the guest would keep executing the old instruction.
+the full architectural outcome against a run that decodes every
+instruction from raw bytes (the ``pin_uncached_decode`` reference).
+A wrong result here would be silent staleness: the guest would keep
+executing the old instruction.
 
 Also covered: the cache's page-granular invalidation unit behavior and
-the shape invariant that the performance dials never change console
-output or molecule counts.
+the shape invariant that the host-speed machinery (decode cache,
+template JIT, software TLB) never changes console output or molecule
+counts against the slow paths it replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro import CMSConfig, CodeMorphingSystem, Machine
+from repro import CMSConfig, CodeMorphingSystem
 from repro.isa.icache import DecodedInstructionCache
 
-from conftest import assert_equivalent
+from conftest import (assert_equivalent, pin_tlb_walks,
+                      pin_uncached_decode, pin_vliw, run_cms,
+                      run_workload_cms)
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
 
 
-def run_interp(source: str, decode_cache: bool = True,
-               max_instructions: int = 2_000_000):
+def run_interp(source: str, cached: bool = True):
     """Run under the interpreter only, with or without the decode cache."""
-    config = replace(FAST.interpreter_only(), decode_cache=decode_cache)
-    machine = Machine()
-    entry = machine.load_source(source)
-    system = CodeMorphingSystem(machine, config)
-    result = system.run(entry, max_instructions=max_instructions)
-    return system, result
+    return run_cms(source, FAST.interpreter_only(),
+                   max_instructions=2_000_000,
+                   pins=() if cached else (pin_uncached_decode,))
 
 
 def assert_same_outcome(source: str) -> CodeMorphingSystem:
     """Cache-on and cache-off interpreter runs must agree exactly."""
-    on_system, on_result = run_interp(source, decode_cache=True)
-    off_system, off_result = run_interp(source, decode_cache=False)
+    on_system, on_result = run_interp(source, cached=True)
+    off_system, off_result = run_interp(source, cached=False)
     assert on_result.halted and off_result.halted
     assert on_result.console_output == off_result.console_output
     assert on_system.state.snapshot() == off_system.state.snapshot()
@@ -188,7 +186,6 @@ class TestInterpreterStoreCoherence:
     def test_patched_immediate_next_fetch_sees_new_bytes(self):
         system = assert_same_outcome(PATCH_IMMEDIATE_PROGRAM)
         icache = system.icache
-        assert icache is not None
         assert icache.hits > 0, "cache never served a fetch"
         assert icache.invalidations > 0, "patches never invalidated"
 
@@ -269,7 +266,6 @@ class TestTranslatedStoreCoherence:
         system = both.cms_system
         assert system.stats.translations_made >= 1
         icache = system.icache
-        assert icache is not None
         assert icache.hits > 0
         assert icache.invalidations > 0
 
@@ -287,13 +283,16 @@ class TestTranslatedStoreCoherence:
 
 class TestDialsInvisible:
     def test_workload_identical_with_dials_off(self):
-        from repro.workloads import ALL_WORKLOADS, run_workload
+        from repro.workloads import ALL_WORKLOADS
 
         config = CMSConfig(translation_threshold=10)
         for name in ("dos_boot", "compress"):
             workload = ALL_WORKLOADS[name]
-            on = run_workload(workload, config)
-            off = run_workload(workload, config.seed_performance())
+            _, on = run_workload_cms(workload, config)
+            _, off = run_workload_cms(
+                workload, config,
+                (pin_vliw, pin_uncached_decode, pin_tlb_walks))
             assert on.console_output == off.console_output, name
-            assert on.total_molecules == off.total_molecules, name
+            assert on.stats.total_molecules(config.cost) == \
+                off.stats.total_molecules(config.cost), name
             assert on.guest_instructions == off.guest_instructions, name

@@ -1,7 +1,8 @@
 """Template-JIT semantics tests (host/jit.py).
 
-The JIT is a wall-clock dial: with ``template_jit`` on or off, every
-run must be molecule-identical and architecturally identical — the
+``TemplateJIT.run`` has ``HostCPU.run``'s exact contract: with the
+simulated VLIW pinned in its place (``conftest.pin_vliw``), every run
+must be molecule-identical and architecturally identical — the
 generated Python only replaces the simulated VLIW's per-atom dispatch,
 never what executes.  These tests pin that contract on the edges where
 it is easiest to break: mid-translation faults, alias bailouts, SMC
@@ -15,7 +16,8 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import assert_equivalent, run_cms
+from conftest import (assert_equivalent, pin_vliw, run_cms,
+                      run_workload_cms)
 from repro import CMSConfig
 from repro.cache.tcache import Translation
 from repro.cms.stats import CMSStats
@@ -31,10 +33,9 @@ from repro.memory.bus import MMIORegion
 from repro.memory.finegrain import FineGrainCache
 from repro.memory.protection import ProtectionMap
 from repro.translator.policies import TranslationPolicy
-from repro.workloads import get_workload, run_workload
+from repro.workloads import get_workload
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
-NO_JIT = replace(FAST, template_jit=False)
 
 HOT_LOOP = """
 start:
@@ -81,7 +82,7 @@ patch_site:
 
 
 def _dial_invisible_stats(stats) -> dict:
-    """Stats that must match with the JIT dial on or off.
+    """Stats that must match with or without the VLIW pinned.
 
     Only the JIT's own accounting (dispatch/compile/bailout volume) may
     differ between the two engines.
@@ -92,11 +93,10 @@ def _dial_invisible_stats(stats) -> dict:
 
 
 def _assert_dial_invisible(source: str, config: CMSConfig) -> tuple:
-    """Run ``source`` with the JIT on and off; everything but the JIT's
-    own counters must be identical, bit for bit."""
+    """Run ``source`` on the JIT and on the pinned VLIW; everything but
+    the JIT's own counters must be identical, bit for bit."""
     on_system, on_result = run_cms(source, config)
-    off_system, off_result = run_cms(source, replace(config,
-                                                     template_jit=False))
+    off_system, off_result = run_cms(source, config, pins=(pin_vliw,))
     assert on_result.halted and off_result.halted
     assert on_result.console_output == off_result.console_output
     assert on_system.state.snapshot() == off_system.state.snapshot()
@@ -108,6 +108,18 @@ def _assert_dial_invisible(source: str, config: CMSConfig) -> tuple:
         _dial_invisible_stats(off_system.stats)
     assert off_system.stats.jit_dispatches == 0
     return on_system, off_system
+
+
+def _workload_on_jit_and_vliw(name: str):
+    """Run a workload on the JIT and on the pinned VLIW; console output
+    and molecules must match.  Returns both results."""
+    workload = get_workload(name)
+    _, on = run_workload_cms(workload, FAST)
+    _, off = run_workload_cms(workload, FAST, (pin_vliw,))
+    assert on.console_output == off.console_output
+    assert on.stats.total_molecules(FAST.cost) == \
+        off.stats.total_molecules(FAST.cost)
+    return on, off
 
 
 class TestDialInvisibility:
@@ -141,22 +153,14 @@ class TestFaultBailouts:
         )
 
     def test_alias_check_bailout(self):
-        workload = get_workload("alias_stress")
-        on = run_workload(workload, FAST)
-        off = run_workload(workload, NO_JIT)
-        assert on.console_output == off.console_output
-        assert on.total_molecules == off.total_molecules
-        stats = on.system.stats
+        on, off = _workload_on_jit_and_vliw("alias_stress")
+        stats = on.stats
         assert stats.jit_bailouts["fault-alias_violation"] >= 1
         assert stats.faults["ALIAS_VIOLATION"] >= 1
 
     def test_interrupt_bailout(self):
-        workload = get_workload("dos_boot")
-        on = run_workload(workload, FAST)
-        off = run_workload(workload, NO_JIT)
-        assert on.console_output == off.console_output
-        assert on.total_molecules == off.total_molecules
-        assert on.system.stats.jit_bailouts["interrupt"] >= 1
+        on, _ = _workload_on_jit_and_vliw("dos_boot")
+        assert on.stats.jit_bailouts["interrupt"] >= 1
 
     def test_fuel_exhaustion_mid_jit_block(self):
         config = replace(FAST, dispatch_fuel_molecules=8)
@@ -202,7 +206,7 @@ class TestFallbacks:
         monkeypatch.setattr(jit_module, "compile_translation",
                             lambda translation, cpu, stats=None: None)
         on_system, on_result = run_cms(HOT_LOOP, FAST)
-        off_system, off_result = run_cms(HOT_LOOP, NO_JIT)
+        off_system, off_result = run_cms(HOT_LOOP, FAST, pins=(pin_vliw,))
         assert on_result.halted
         assert on_result.console_output == off_result.console_output
         assert _dial_invisible_stats(on_system.stats) == \
@@ -310,10 +314,12 @@ def _machine_with_extra_region():
     return machine, device
 
 
-def _run_on_extra_machine(source: str, config: CMSConfig):
+def _run_on_extra_machine(source: str, config: CMSConfig, pins=()):
     machine, device = _machine_with_extra_region()
     entry = machine.load_source(source)
     system = CodeMorphingSystem(machine, config)
+    for pin in pins:
+        pin(system)
     result = system.run(entry, max_instructions=200_000)
     return system, result, device
 
@@ -407,8 +413,9 @@ class TestPlainRamGuard:
            size=st.sampled_from([1, 4]))
     def test_window_accesses_agree_everywhere(self, addr, store, size):
         source = _window_program(addr, store, size)
-        runs = [_run_on_extra_machine(source, config)
-                for config in (FAST, NO_JIT, FAST.interpreter_only())]
+        runs = [_run_on_extra_machine(source, FAST),
+                _run_on_extra_machine(source, FAST, pins=(pin_vliw,)),
+                _run_on_extra_machine(source, FAST.interpreter_only())]
         (on, _, on_dev), (off, _, off_dev), (ref, _, ref_dev) = runs
         assert all(result.halted for _, result, _ in runs)
         ram = [s.machine.ram.read_bytes(0, s.machine.ram.size)
@@ -442,7 +449,7 @@ class TestPlainRamGuard:
         # path and raise SPEC_MMIO, exactly as the VLIW does.
         source = _window_program(0x9FFFE, store=False, size=4)
         on, _, _ = _run_on_extra_machine(source, FAST)
-        off, _, _ = _run_on_extra_machine(source, NO_JIT)
+        off, _, _ = _run_on_extra_machine(source, FAST, pins=(pin_vliw,))
         assert on.stats.faults["SPEC_MMIO"] >= 1
         assert on.stats.faults == off.stats.faults
         assert on.stats.jit_bailouts["fault-spec_mmio"] >= 1

@@ -15,6 +15,8 @@ from repro.memory.mmu import MMU, PTE_PRESENT, PTE_WRITABLE
 from repro.memory.physical import PAGE_SIZE, PhysicalMemory, page_of
 from repro.memory.protection import ProtectionMap, StoreClass
 
+from conftest import WalkEveryTime
+
 
 class TestPhysicalMemory:
     def test_little_endian_roundtrip(self):
@@ -243,7 +245,8 @@ class TestMMUTLB:
         ram = PhysicalMemory(16 * PAGE_SIZE)
         bus = MemoryBus(ram)
         mmu = MMU(bus)
-        mmu.set_tlb_enabled(tlb)
+        if not tlb:
+            mmu._tlb = WalkEveryTime()
         pt_base = 8 * PAGE_SIZE
         ram.write32(pt_base + 0 * 4, (2 * PAGE_SIZE) | PTE_PRESENT |
                     PTE_WRITABLE)

@@ -25,6 +25,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import REFERENCE_PINS
 from repro import CMSConfig, CodeMorphingSystem, Machine
 from repro.cache import persist
 from repro.cache.persist import (
@@ -33,7 +34,6 @@ from repro.cache.persist import (
     inspect_snapshot,
     read_snapshot_file,
 )
-from repro.cms.config import HOST_SPEED_DIALS
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
 
@@ -63,12 +63,14 @@ second:
 
 
 def cold_save(path: str, source: str = PROGRAM,
-              config: CMSConfig = FAST):
+              config: CMSConfig = FAST, pins=()):
     """Run a cold session that saves a snapshot at shutdown."""
     cfg = replace(config, snapshot_path=path, snapshot_save=True)
     machine = Machine()
     entry = machine.load_source(source)
     system = CodeMorphingSystem(machine, cfg)
+    for pin in pins:
+        pin(system)
     result = system.run(entry)
     system.shutdown()
     return system, result
@@ -323,10 +325,20 @@ class TestRejection:
         assert system.stats.snapshot_translations_loaded == 0
         assert len(system.tcache) == 0
 
-    @pytest.mark.parametrize("dial", HOST_SPEED_DIALS)
+    def test_default_config_digest_is_pinned(self):
+        # Deleting or adding a CMSConfig field that the digest excludes
+        # must not move it; if it does move, SNAPSHOT_VERSION must bump
+        # with this pin.
+        assert persist.config_digest(CMSConfig()) == (
+            "91ccbacc40e2d3bbfab1e31a3287e660522215727f77647a4cbbb6ff10118e23")
+        assert SNAPSHOT_VERSION == 3
+
+    @pytest.mark.parametrize("dial", sorted(REFERENCE_PINS))
     def test_host_speed_dial_off_loads_under_strict_config(self, snap_path,
                                                            dial):
-        cold_save(snap_path, config=replace(FAST, **{dial: False}))
+        # A snapshot saved with host-speed machinery pinned off records
+        # the same configuration, so a normal system loads it strictly.
+        cold_save(snap_path, pins=(REFERENCE_PINS[dial],))
         system, _ = warm_system(snap_path)
         assert system.config.snapshot_strict_config
         assert system.snapshot_error is None

@@ -9,6 +9,11 @@ checksum, which each workload computes from deterministic data only.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cms.config import CMSConfig
@@ -119,3 +124,20 @@ class TestWorkloadPhenomena:
         expected = reference_output(workload)
         result = run_workload(workload, FAST)
         assert result.console_output == expected
+
+
+def test_boot_sources_do_not_depend_on_the_hash_seed():
+    """Boot workloads are identical in every process: their cold-init
+    code is seeded from a stable checksum, not the salted ``hash()``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import hashlib; from repro.workloads import ALL_WORKLOADS; "
+            "print([hashlib.sha256(ALL_WORKLOADS[n].source.encode())"
+            ".hexdigest() for n in ('dos_boot', 'win98_boot', "
+            "'winnt_boot')])")
+    sources = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        sources.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert sources[0] == sources[1]
