@@ -13,12 +13,13 @@ asserts its console output matches.  The **headline gate** asserts the
 paper's premise holds in wall-clock terms: the CMS path beats
 interpretation on every workload (``cms_vs_interp_speedup >= 1.0``,
 measured margins are 1.4-3.7x), and the template JIT actually
-dispatched.
+dispatched and lowered code.
 
 Beside the timings, each row records exact engagement counters: the
-decode cache's hits and misses, ``jit_dispatches``, and
-``jit_slow_mem_ops`` (JIT memory accesses that left the inline
-plain-RAM path).  They are deterministic at a fixed budget, so the
+decode cache's hits and misses, ``jit_dispatches``, ``jit_compiles``
+(templates lowered: only warm translations get one, so a dispatch alone
+does not prove the template ran) and ``jit_slow_mem_ops`` (JIT memory
+accesses that left the inline plain-RAM path).  They are deterministic at a fixed budget, so the
 budgeted ``compare.py`` run pins exactly how much each fast path is
 used.
 
@@ -100,6 +101,7 @@ def _measure(name: str, budget: int | None) -> dict:
         "icache_hits": system.icache.hits,
         "icache_misses": system.icache.misses,
         "jit_dispatches": system.stats.jit_dispatches,
+        "jit_compiles": system.stats.jit_compiles,
         "jit_slow_mem_ops": system.stats.jit_slow_mem_ops,
         "modeled_cycles_per_instr": _modeled_per_instr(result),
     }
@@ -133,7 +135,8 @@ def _emit(report: dict) -> None:
             f"vs-interp {row['cms_vs_interp_speedup']:.2f}x  "
             f"icache {row['icache_hits']:,}/{row['icache_misses']:,}  "
             f"jit {row['jit_dispatches']:,} "
-            f"({row['jit_slow_mem_ops']:,} slow mem ops)",
+            f"({row['jit_compiles']:,} compiles, "
+            f"{row['jit_slow_mem_ops']:,} slow mem ops)",
         ))
     budget = report["budget"]
     print_table(
@@ -162,6 +165,9 @@ def _check(report: dict) -> None:
         )
         assert row["jit_dispatches"] > 0, (
             f"{key}: template JIT never dispatched on a translating run"
+        )
+        assert row["jit_compiles"] > 0, (
+            f"{key}: no translation warmed up enough to be lowered"
         )
 
 

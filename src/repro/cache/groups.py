@@ -92,7 +92,7 @@ class TranslationGroups:
         versions outlive the flush (that is their purpose) — without
         this, the group table keeps a whole generation of generated
         functions reachable.  The versions themselves stay parked: a
-        reactivated one recompiles on first dispatch.
+        reactivated one recompiles once warm.
         """
         for group in self._groups.values():
             for translation in group.values():

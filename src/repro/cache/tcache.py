@@ -84,7 +84,7 @@ class Translation:
     _region_addr_set: frozenset[int] | None = field(
         default=None, repr=False)
     # Template-JIT function for this translation (host/jit.py), built
-    # lazily on first dispatch.  Dropped on invalidation and never
+    # once the translation is warm.  Dropped on invalidation and never
     # persisted: its closure binds one process's live CPU objects, so a
     # warm-loaded translation recompiles on first dispatch instead.
     host_code: object | None = field(default=None, repr=False)

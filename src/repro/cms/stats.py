@@ -79,6 +79,9 @@ class CMSStats:
     jit_compiles: int = 0
     jit_compile_failures: int = 0
     jit_code_cache_hits: int = 0  # compile skipped via shared code cache
+    # Cold-tier (simulated VLIW) runs handed back to a template at a
+    # chain or a taken backward branch.
+    jit_handoffs: int = 0
     # Template memory atoms whose inline plain-RAM guard failed and
     # that ran the exact ``HostCPU._load``/``_store`` helper instead.
     jit_slow_mem_ops: int = 0
@@ -169,6 +172,7 @@ class CMSStats:
                 f"jit dispatches       {self.jit_dispatches:>12}"
                 f" ({self.jit_compiles} compiles,"
                 f" {self.jit_compile_failures} failures,"
+                f" {self.jit_handoffs} hand-offs,"
                 f" {sum(self.jit_bailouts.values())} bailouts,"
                 f" {self.jit_slow_mem_ops} slow mem ops)"
             )

@@ -294,6 +294,8 @@ class CodeMorphingSystem:
         self.smc.protect_translation(translation)
         for page in translation.pages():
             self.smc.recompute_page(page)
+        # The saving run proved it hot: lower it on first entry.
+        self.jit.mark_warm(translation)
         self.stats.snapshot_translations_loaded += 1
         self.bus.record(Event.SNAPSHOT_LOAD, translation.entry_eip)
 
@@ -876,7 +878,7 @@ class CodeMorphingSystem:
         # Parked retired versions survive the flush, but their compiled
         # JIT callables must not: the flush's contract is that the whole
         # generation of generated host code is gone (reactivated
-        # versions recompile on first dispatch).
+        # versions recompile once warm).
         self.groups.drop_host_code()
         self.bus.record(Event.TCACHE_FLUSH)
         # The dead generation's controller state goes with it (anchors

@@ -55,10 +55,14 @@ def default_matrix() -> tuple[DialVariant, ...]:
                     replace(_BASE, translation_groups=False,
                             self_revalidation=False, stylized_smc=False)),
         # Every variant above runs AGGRESSIVE regions through the
-        # template JIT, so each already checks JIT-generated code
-        # against the interpreter; this one pins the simulated VLIW on
-        # the same programs, closing the three-way JIT / VLIW /
-        # interpreter comparison.
+        # tiered template JIT: a translation starts on the simulated
+        # VLIW and is lowered only once warm, so these check the
+        # hand-offs between the two tiers.  Short fuzz programs warm
+        # few translations, so ``eager-lowering`` lowers each one on
+        # first entry and keeps the generated code itself checked
+        # against the interpreter; ``vliw-pinned`` never lowers,
+        # closing the three-way JIT / VLIW / interpreter comparison.
+        DialVariant("eager-lowering", _BASE, runner=execute_eager),
         DialVariant("vliw-pinned", _BASE, runner=execute_on_vliw),
         # Every campaign also exercises the conservative rungs of the
         # degradation ladder: regions start (and stay) at NO_REORDER, so
@@ -185,6 +189,19 @@ def execute_roundtrip(program: FuzzProgram, config: CMSConfig,
     finally:
         if os.path.exists(path):
             os.unlink(path)
+
+
+def execute_eager(program: FuzzProgram, config: CMSConfig,
+                  max_instructions: int = 400_000,
+                  cms_factory=None) -> RunOutcome:
+    """``execute`` with every translation lowered on its first entry
+    rather than once warm (``TemplateJIT.warm``)."""
+    def pin(system: CodeMorphingSystem) -> None:
+        system.jit.warm = lambda translation: True
+        if cms_factory is not None:
+            cms_factory(system)
+
+    return execute(program, config, max_instructions, pin)
 
 
 def execute_on_vliw(program: FuzzProgram, config: CMSConfig,

@@ -43,6 +43,10 @@ class ExitKind(enum.Enum):
     INTERRUPT = enum.auto()  # pending interrupt at a molecule boundary
     FAULT = enum.auto()  # a host fault fired (CMS must roll back)
     FUEL = enum.auto()  # molecule budget exhausted mid-translation
+    # The hand-off predicate claimed the next translation or loop
+    # iteration for the template tier (``TemplateJIT`` only; it never
+    # reaches the dispatcher).
+    HANDOFF = enum.auto()
 
 
 @dataclass
@@ -56,6 +60,9 @@ class ExitInfo:
     molecules: int = 0
     chains_followed: int = 0
     translations_entered: list = field(default_factory=list)
+    # HANDOFF only: the molecule index to resume at, in
+    # ``translations_entered[-1]``.
+    resume_pc: int = 0
 
 
 class HostCPU:
@@ -146,7 +153,7 @@ class HostCPU:
     # ------------------------------------------------------------------
 
     def run(self, translation, fuel: int = 1_000_000,
-            start_pc: int | None = None) -> ExitInfo:
+            start_pc: int | None = None, handoff=None) -> ExitInfo:
         """Execute ``translation`` until exit, fault, or interrupt.
 
         Follows chained exits directly into successor translations
@@ -155,6 +162,14 @@ class HostCPU:
         ``rollback`` before touching guest state.  ``start_pc`` resumes
         mid-translation at an explicit molecule index (used by the
         template JIT to hand back control at the exact point it bailed).
+
+        ``handoff(translation) -> bool``, when given, is asked at two
+        points that sit between molecules: after a chain is followed
+        (about the chain target) and after a taken backward branch
+        (about the running translation).  A true answer stops the run
+        with ``ExitKind.HANDOFF`` and ``resume_pc`` set, before the next
+        molecule's interrupt and fuel checks, so the caller can carry on
+        from exactly there with no state to move.
         """
         info = ExitInfo(kind=ExitKind.EXITED)
         current = translation
@@ -168,7 +183,7 @@ class HostCPU:
 
         try:
             self._run_loop(info, current, pc, molecules, fuel,
-                           start_molecules, pending_ok)
+                           start_molecules, pending_ok, handoff)
         finally:
             self.current_translation = None
 
@@ -177,7 +192,7 @@ class HostCPU:
         return info
 
     def _run_loop(self, info, current, pc, molecules, fuel,
-                  start_molecules, pending_ok) -> None:
+                  start_molecules, pending_ok, handoff) -> None:
         while True:
             if pending_ok():
                 info.kind = ExitKind.INTERRUPT
@@ -230,9 +245,17 @@ class HostCPU:
                         info.translations_entered.append(current)
                         current.entries += 1
                         self.current_translation = current
+                        if handoff is not None and handoff(current):
+                            info.kind = ExitKind.HANDOFF
+                            info.resume_pc = pc
+                            break
                         continue
                 info.kind = ExitKind.EXITED
                 info.exit_atom = exit_atom
+                break
+            if next_pc <= pc and handoff is not None and handoff(current):
+                info.kind = ExitKind.HANDOFF
+                info.resume_pc = next_pc
                 break
             pc = next_pc
 

@@ -5,9 +5,23 @@ The simulated VLIW in :mod:`repro.host.cpu` walks molecule and atom
 if-ladder) per atom.  That interpretive overhead — not the guest — is
 what kept the translated path slower than the interpreter in
 ``BENCH_wallclock.json``.  This module removes it: each committed
-translation is lowered once into a specialized Python function
+translation is lowered once warm into a specialized Python function
 (``exec``-compiled, constants folded, the RAM fast path inlined) whose
 straight-line statements *are* the molecule sequence.
+
+Lowering is tiered, as CMS itself is (§2: interpret until hot, then
+translate).  Lowering and ``compile()`` cost grows with a translation's
+molecule count, and many translations die after an entry or two, so a
+fresh translation runs on the simulated VLIW (the cold tier) until it
+is *warm*: its executed molecules reach ``WARM_PASSES`` passes over its
+own length, or it was admitted from a snapshot or import, whose saving
+run proved it hot.  The VLIW hands control back to the template tier at
+two points between molecules: after following a chain into a warm or
+already-lowered translation, and after a taken backward branch once
+the running translation is warm (a branch target is a label, so every
+one is an entry arm of the template).  Both engines share the working
+and shadow registers, the store buffer and the alias hardware, so no
+state moves in either direction.
 
 Semantics are bit-identical to ``HostCPU.run`` by construction:
 
@@ -31,9 +45,10 @@ Semantics are bit-identical to ``HostCPU.run`` by construction:
 
 ``TemplateJIT.run`` therefore has ``HostCPU.run``'s exact contract:
 with the simulated VLIW pinned in its place, console output and every
-molecule count are identical; only host seconds change.  The
-differential fuzz oracle checks this on every program
-(``fuzz/oracle.py``, the ``vliw-pinned`` variant).
+molecule count are identical; only host seconds change, whichever
+tier runs each molecule.  The differential fuzz oracle checks this on
+every program (``fuzz/oracle.py``: the ``vliw-pinned`` variant never
+lowers, ``eager-lowering`` lowers every translation on first entry).
 """
 
 from __future__ import annotations
@@ -57,6 +72,10 @@ _EXIT = 0  # an EXIT atom finished its molecule; aux = the exit atom
 _INTERRUPT = 1  # pending interrupt at a molecule boundary
 _FUEL = 2  # molecule budget exhausted at a molecule boundary
 _RESUME = 3  # pc left the template's arms; aux = pc for the VLIW
+
+# A translation is lowered once its executed molecules reach this many
+# passes over its own length (see the module docstring).
+WARM_PASSES = 10
 
 
 class _Unsupported(Exception):
@@ -477,12 +496,13 @@ def compile_translation(translation, cpu, stats=None):
 
 
 class TemplateJIT:
-    """Compiles translations lazily and dispatches their templates.
+    """Lowers warm translations and dispatches their templates.
 
     One instance per :class:`CodeMorphingSystem`; ``run`` has the exact
     contract of ``HostCPU.run`` (same ``ExitInfo``, same counters, same
-    chain following) and bails out to the simulated VLIW for anything
-    the template could not lower.
+    chain following).  Cold translations run on the simulated VLIW until
+    it hands them back, and anything the template could not lower bails
+    out to the VLIW for good.
     """
 
     def __init__(self, cpu, stats=None, phases=NULL_PHASES) -> None:
@@ -490,6 +510,24 @@ class TemplateJIT:
         self.stats = stats
         self.phases = phases
         self._uncompilable: set[int] = set()  # translation ids
+        self._admitted_warm: set[int] = set()  # translation ids
+
+    def mark_warm(self, translation) -> None:
+        """Lower ``translation`` on its first entry: it comes from a
+        snapshot or an import, and the run that saved it proved it hot."""
+        self._admitted_warm.add(translation.id)
+
+    def warm(self, translation) -> bool:
+        """True once ``translation`` has earned a template."""
+        return (translation.executions_molecules
+                >= WARM_PASSES * len(translation.molecules)
+                or translation.id in self._admitted_warm)
+
+    def _takes_template(self, translation) -> bool:
+        """The cold tier's hand-off predicate (``HostCPU.run``)."""
+        return translation.host_code is not None or (
+            translation.id not in self._uncompilable
+            and self.warm(translation))
 
     def ensure_compiled(self, translation):
         """Compile (or fetch) the translation's template function."""
@@ -516,8 +554,8 @@ class TemplateJIT:
             self.stats.jit_bailouts[reason] += 1
 
     def run(self, translation, fuel: int = 1_000_000) -> ExitInfo:
-        """Execute ``translation`` via its template until exit, fault,
-        or interrupt, following chains — ``HostCPU.run``, accelerated."""
+        """Execute ``translation`` until exit, fault, or interrupt,
+        following chains — ``HostCPU.run``, accelerated."""
         cpu = self.cpu
         if self.stats is not None:
             self.stats.jit_dispatches += 1
@@ -550,21 +588,37 @@ class TemplateJIT:
     def _run_loop(self, info, current, fuel, start, pending, shadow,
                   merge) -> None:
         cpu = self.cpu
+        pc = current.labels[current.entry_label]
         while True:
             cpu.current_translation = current
             fn = current.host_code
+            if fn is None and current.id not in self._uncompilable and \
+                    not self.warm(current):
+                # Cold tier: the VLIW runs until the dispatch ends or it
+                # reaches a hand-off point, then the loop carries on at
+                # the translation and molecule it stopped before.
+                sub = cpu.run(current,
+                              fuel=fuel - (cpu.molecules_executed - start),
+                              start_pc=pc, handoff=self._takes_template)
+                merge(sub)
+                if sub.kind is not ExitKind.HANDOFF:
+                    break
+                if self.stats is not None:
+                    self.stats.jit_handoffs += 1
+                current = sub.translations_entered[-1]
+                pc = sub.resume_pc
+                continue
             if fn is None:
                 fn = self.ensure_compiled(current)
             if fn is None:
                 self._bail("uncompilable")
                 merge(cpu.run(current,
-                              fuel=fuel - (cpu.molecules_executed - start)))
+                              fuel=fuel - (cpu.molecules_executed - start),
+                              start_pc=pc))
                 break
             try:
                 status, aux = fn(
-                    fuel - (cpu.molecules_executed - start),
-                    current.labels[current.entry_label],
-                )
+                    fuel - (cpu.molecules_executed - start), pc)
             except HostFaultError as error:
                 info.kind = ExitKind.FAULT
                 info.fault = error.fault
@@ -577,6 +631,7 @@ class TemplateJIT:
                     if atom.exit_target is not None or \
                             atom.chained_guard == shadow[R_EIP]:
                         current = chained
+                        pc = current.labels[current.entry_label]
                         info.chains_followed += 1
                         info.translations_entered.append(current)
                         current.entries += 1

@@ -145,6 +145,12 @@ def run_scenario(scenario: Scenario, budget: int, seed: int,
     if not scenario.pin_interrupts:
         diffs = [d for d in diffs
                  if not d.startswith("interrupts_delivered:")]
+    if not chaos_rate and (health.contained_errors or health.audit_repairs):
+        # Containment is a production safety net; outside a chaos run
+        # it only ever hides a bug.
+        diffs.append(f"containment: {health.contained_errors} contained "
+                     f"errors and {health.audit_repairs} audit repairs "
+                     f"outside a chaos run")
 
     return {
         "title": scenario.title,

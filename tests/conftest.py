@@ -146,6 +146,14 @@ REFERENCE_PINS = {
 }
 
 
+def pin_eager_lowering(system) -> None:
+    """Lower every translation on its first entry instead of once warm
+    (``TemplateJIT.warm``), so a program too short to warm anything
+    still runs its translations as templates.  Not a reference pin: it
+    keeps the fast machinery on and only skips the cold tier."""
+    system.jit.warm = lambda translation: True
+
+
 def run_cms(source: str, config: CMSConfig | None = None,
             machine_config: MachineConfig | None = None,
             max_instructions: int = 5_000_000, pins=()):
@@ -165,7 +173,7 @@ def run_workload_cms(workload, config: CMSConfig, pins=()):
 
 def run_both(source: str, config: CMSConfig | None = None,
              machine_config: MachineConfig | None = None,
-             max_instructions: int = 5_000_000) -> BothResults:
+             max_instructions: int = 5_000_000, pins=()) -> BothResults:
     ref_machine = Machine(machine_config)
     ref_entry = ref_machine.load_source(source)
     ref_system = CodeMorphingSystem(
@@ -176,6 +184,8 @@ def run_both(source: str, config: CMSConfig | None = None,
     cms_machine = Machine(machine_config)
     cms_entry = cms_machine.load_source(source)
     cms_system = CodeMorphingSystem(cms_machine, config or CMSConfig())
+    for pin in pins:
+        pin(cms_system)
     cms_result = cms_system.run(cms_entry, max_instructions=max_instructions)
     return BothResults(ref_system, cms_system, ref_result, cms_result)
 
@@ -195,13 +205,14 @@ def assert_nothing_contained(system: CodeMorphingSystem) -> None:
 def assert_equivalent(source: str, config: CMSConfig | None = None,
                       machine_config: MachineConfig | None = None,
                       max_instructions: int = 5_000_000,
-                      compare_ram: bool = True) -> BothResults:
+                      compare_ram: bool = True, pins=()) -> BothResults:
     """Run both engines and assert exact architectural equivalence.
 
     Outside a chaos run, a contained error or an audit repair on the
     CMS side is a failure too: containment must never hide a bug.
+    ``pins`` apply to the CMS side only.
     """
-    both = run_both(source, config, machine_config, max_instructions)
+    both = run_both(source, config, machine_config, max_instructions, pins)
     assert_nothing_contained(both.cms_system)
     assert both.ref_result.halted, "reference run did not halt"
     assert both.cms_result.halted, "CMS run did not halt"

@@ -75,6 +75,16 @@ class TestOracle:
         assert stats.dispatches > 0
         assert stats.jit_dispatches == 0
 
+    def test_eager_lowering_variant_lowers_on_first_entry(self):
+        variant = variant_by_name("eager-lowering")
+        systems = []
+        variant.runner(generate(3), variant.config,
+                       cms_factory=systems.append)
+        stats = systems[0].stats
+        assert stats.jit_dispatches > 0
+        assert stats.jit_compiles > 0
+        assert stats.jit_handoffs == 0  # nothing ever ran cold
+
     def test_containment_outside_chaos_is_a_mismatch(self):
         def crash_translator(system):
             def crash(entry_eip, policy):

@@ -6,24 +6,29 @@ must be molecule-identical and architecturally identical — the
 generated Python only replaces the simulated VLIW's per-atom dispatch,
 never what executes.  These tests pin that contract on the edges where
 it is easiest to break: mid-translation faults, alias bailouts, SMC
-invalidation, fuel exhaustion, compile failure, and the inline
-plain-RAM guard at the edges of MMIO pages.
+invalidation, fuel exhaustion, compile failure, the inline
+plain-RAM guard at the edges of MMIO pages, and the hand-offs from the
+cold tier (the VLIW, until a translation is warm) to the template.
+Tests that need a template on a program too short to warm one apply
+``conftest.pin_eager_lowering``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (assert_equivalent, pin_vliw, run_cms,
-                      run_workload_cms)
+from conftest import (assert_equivalent, pin_eager_lowering, pin_vliw,
+                      run_cms, run_workload_cms)
 from repro import CMSConfig
 from repro.cache.tcache import Translation
 from repro.cms.stats import CMSStats
 from repro.cms.system import CodeMorphingSystem
 from repro.host import jit as jit_module
-from repro.host.atoms import Atom, AtomKind
+from repro.host.atoms import AluOp, Atom, AtomKind
 from repro.host.cpu import ExitKind, HostCPU
 from repro.host.faults import HostFaultKind
 from repro.host.molecule import Molecule
@@ -110,11 +115,11 @@ def _assert_dial_invisible(source: str, config: CMSConfig) -> tuple:
     return on_system, off_system
 
 
-def _workload_on_jit_and_vliw(name: str):
-    """Run a workload on the JIT and on the pinned VLIW; console output
-    and molecules must match.  Returns both results."""
+def _workload_on_jit_and_vliw(name: str, pins=()):
+    """Run a workload on the JIT (with ``pins``) and on the pinned VLIW;
+    console output and molecules must match.  Returns both results."""
     workload = get_workload(name)
-    _, on = run_workload_cms(workload, FAST)
+    _, on = run_workload_cms(workload, FAST, pins)
     _, off = run_workload_cms(workload, FAST, (pin_vliw,))
     assert on.console_output == off.console_output
     assert on.stats.total_molecules(FAST.cost) == \
@@ -143,7 +148,8 @@ class TestFaultBailouts:
         # The SMC store faults mid-translation out of JIT-generated
         # code; interpreter equivalence (registers, RAM, console)
         # proves the rollback restored the exact pre-dispatch state.
-        both = assert_equivalent(SMC_LOOP, config=FAST)
+        both = assert_equivalent(SMC_LOOP, config=FAST,
+                                 pins=(pin_eager_lowering,))
         stats = both.cms_system.stats
         assert stats.rollbacks >= 1
         fault_bails = [reason for reason in stats.jit_bailouts
@@ -153,7 +159,8 @@ class TestFaultBailouts:
         )
 
     def test_alias_check_bailout(self):
-        on, off = _workload_on_jit_and_vliw("alias_stress")
+        on, off = _workload_on_jit_and_vliw("alias_stress",
+                                            (pin_eager_lowering,))
         stats = on.stats
         assert stats.jit_bailouts["fault-alias_violation"] >= 1
         assert stats.faults["ALIAS_VIOLATION"] >= 1
@@ -365,10 +372,14 @@ next:
 """
 
 
-def _host_cpu(machine):
+def _host_cpu(machine, pins=()):
+    """A bare host CPU and JIT; ``pins`` apply to them as to a system."""
     cpu = HostCPU(machine, ProtectionMap(FineGrainCache(4)))
     stats = CMSStats()
-    return cpu, stats, jit_module.TemplateJIT(cpu, stats=stats)
+    jit = jit_module.TemplateJIT(cpu, stats=stats)
+    for pin in pins:
+        pin(SimpleNamespace(cpu=cpu, jit=jit))
+    return cpu, stats, jit
 
 
 def _mol(*atoms) -> Molecule:
@@ -378,7 +389,7 @@ def _mol(*atoms) -> Molecule:
     return molecule
 
 
-def _host_translation(*body) -> Translation:
+def _host_translation(*body, labels=None) -> Translation:
     """``body`` molecules, then commit and exit to 0x1000."""
     exit_atom = Atom(AtomKind.EXIT, exit_target=0x1000)
     return Translation(
@@ -387,7 +398,7 @@ def _host_translation(*body) -> Translation:
                    _mol(Atom(AtomKind.MOVI, rd=R_EIP, imm=0x1000),
                         Atom(AtomKind.COMMIT)),
                    _mol(exit_atom)],
-        labels={"body": 0}, entry_label="body",
+        labels=labels or {"body": 0}, entry_label="body",
         policy=TranslationPolicy(), code_ranges=[(0x1000, 4)],
         code_snapshot=bytes(4), exit_atoms=[exit_atom])
 
@@ -448,7 +459,8 @@ class TestPlainRamGuard:
         # framebuffer: the hoisted (reordered) atom must take the slow
         # path and raise SPEC_MMIO, exactly as the VLIW does.
         source = _window_program(0x9FFFE, store=False, size=4)
-        on, _, _ = _run_on_extra_machine(source, FAST)
+        on, _, _ = _run_on_extra_machine(source, FAST,
+                                         pins=(pin_eager_lowering,))
         off, _, _ = _run_on_extra_machine(source, FAST, pins=(pin_vliw,))
         assert on.stats.faults["SPEC_MMIO"] >= 1
         assert on.stats.faults == off.stats.faults
@@ -463,7 +475,7 @@ class TestPlainRamGuard:
         sides = []
         for use_jit in (True, False):
             machine, device = _machine_with_extra_region()
-            cpu, stats, jit = _host_cpu(machine)
+            cpu, stats, jit = _host_cpu(machine, (pin_eager_lowering,))
             access = Atom(AtomKind.ST, rs1=TEMP_BASE, rs2=TEMP_BASE + 1,
                           size=size, reordered=reordered, io_ok=io_ok) \
                 if store else Atom(AtomKind.LD, rd=0, rs1=TEMP_BASE,
@@ -495,7 +507,7 @@ class TestPlainRamGuard:
 
     def test_region_added_after_compile_diverts_cached_template(self):
         machine = Machine()
-        cpu, stats, jit = _host_cpu(machine)
+        cpu, stats, jit = _host_cpu(machine, (pin_eager_lowering,))
         machine.ram.write32(0x100000, 0x11223344)
         translation = _host_translation(
             _mol(Atom(AtomKind.MOVI, rd=TEMP_BASE, imm=0x100000)),
@@ -517,3 +529,195 @@ class TestPlainRamGuard:
         assert stats.jit_slow_mem_ops == 1
         assert cpu.regs.shadow[0] == 0xCAFEF00D
         assert device.log == [("r", 0, 4)]
+
+
+# ----------------------------------------------------------------------
+# Tiered lowering: a translation runs on the simulated VLIW until warm,
+# and the VLIW hands it to the template at chains and back-edges.
+# ----------------------------------------------------------------------
+
+
+def _vliw_molecules(cpu) -> list[int]:
+    """A one-element list counting the molecules ``cpu.run`` executes
+    from now on: the cold tier and every bailout run through it."""
+    counted = [0]
+    inner = cpu.run
+
+    def run(*args, **kwargs):
+        before = cpu.molecules_executed
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            counted[0] += cpu.molecules_executed - before
+
+    cpu.run = run
+    return counted
+
+
+def _lowering_points(jit) -> dict:
+    """Translation id -> (molecules it had executed, its length), taken
+    when the JIT first tries to lower it."""
+    points = {}
+    inner = jit.ensure_compiled
+
+    def ensure_compiled(translation):
+        points.setdefault(translation.id, (translation.executions_molecules,
+                                           len(translation.molecules)))
+        return inner(translation)
+
+    jit.ensure_compiled = ensure_compiled
+    return points
+
+
+def _loop_translation(iterations: int) -> Translation:
+    """``iterations`` passes over a two-molecule loop closed by an
+    internal back-edge (``BRNZ`` to the ``loop`` label)."""
+    return _host_translation(
+        _mol(Atom(AtomKind.MOVI, rd=TEMP_BASE, imm=iterations)),
+        _mol(Atom(AtomKind.ALUI, aluop=AluOp.SUB, rd=TEMP_BASE,
+                  rs1=TEMP_BASE, imm=1)),
+        _mol(Atom(AtomKind.BRNZ, rs1=TEMP_BASE, label="loop")),
+        labels={"body": 0, "loop": 1})
+
+
+def _host_state(cpu, info, *translations) -> tuple:
+    return (info.kind, info.molecules, info.chains_followed,
+            list(cpu.regs.working), list(cpu.regs.shadow),
+            cpu.molecules_executed, cpu.atoms_executed,
+            [(t.entries, t.executions_molecules) for t in translations])
+
+
+class TestTiering:
+    def _chain_pair(self, warm_target: bool):
+        """Run a cold translation chained to a target (warm or not) on
+        the JIT and on the bare VLIW; both must agree exactly."""
+        sides = []
+        for use_jit in (False, True):  # the JIT side last, kept below
+            cpu, stats, jit = _host_cpu(Machine())
+            source = _host_translation(
+                _mol(Atom(AtomKind.MOVI, rd=TEMP_BASE, imm=7)))
+            target = _host_translation(
+                _mol(Atom(AtomKind.ALUI, aluop=AluOp.ADD, rd=TEMP_BASE,
+                          rs1=TEMP_BASE, imm=5)))
+            source.exit_atoms[0].chained_translation = target
+            if warm_target:
+                jit.mark_warm(target)
+            vliw = _vliw_molecules(cpu)
+            info = (jit.run if use_jit else cpu.run)(source)
+            assert info.translations_entered == [source, target]
+            sides.append(_host_state(cpu, info, source, target))
+        assert sides[0] == sides[1]
+        return stats, vliw[0], source, target
+
+    def test_cold_translation_hands_off_at_a_chain_to_a_warm_target(self):
+        stats, vliw, source, target = self._chain_pair(warm_target=True)
+        assert stats.jit_handoffs == 1
+        assert stats.jit_compiles == 1
+        assert source.host_code is None and target.host_code is not None
+        assert vliw == len(source.molecules)  # the target ran as template
+
+    def test_cold_chain_target_stays_on_the_vliw(self):
+        stats, vliw, source, target = self._chain_pair(warm_target=False)
+        assert stats.jit_handoffs == 0
+        assert stats.jit_compiles == 0
+        assert vliw == len(source.molecules) + len(target.molecules)
+
+    def test_cold_loop_finishes_on_the_template_after_its_back_edge(self):
+        sides = []
+        for use_jit in (False, True):  # the JIT side last, kept below
+            cpu, stats, jit = _host_cpu(Machine())
+            loop = _loop_translation(100)
+            vliw = _vliw_molecules(cpu)
+            points = _lowering_points(jit)
+            info = (jit.run if use_jit else cpu.run)(loop)
+            assert info.kind is ExitKind.EXITED
+            sides.append(_host_state(cpu, info, loop))
+        assert sides[0] == sides[1]
+        # The JIT side: cold until warm, lowered at a back-edge, then
+        # every remaining iteration ran on the template.
+        assert stats.jit_handoffs == 1
+        assert loop.host_code is not None
+        ran_cold, length = points[loop.id]
+        assert ran_cold >= jit_module.WARM_PASSES * length
+        assert vliw[0] == ran_cold
+        assert info.molecules - ran_cold > 100
+
+    def test_snapshot_loaded_translation_is_lowered_on_first_entry(
+            self, tmp_path):
+        path = str(tmp_path / "hot.cms-snapshot.json")
+        machine = Machine()
+        entry = machine.load_source(HOT_LOOP)
+        cold = CodeMorphingSystem(
+            machine, replace(FAST, snapshot_path=path, snapshot_save=True))
+        cold_points = _lowering_points(cold.jit)
+        assert cold.run(entry).halted
+        cold.shutdown()
+        # A fresh translation is lowered only once warm ...
+        assert cold_points
+        assert all(ran >= jit_module.WARM_PASSES * length
+                   for ran, length in cold_points.values())
+
+        machine = Machine()
+        entry = machine.load_source(HOT_LOOP)
+        warm = CodeMorphingSystem(machine, replace(FAST, snapshot_path=path))
+        loaded = warm.tcache.translations()
+        assert loaded
+        assert warm.stats.snapshot_translations_loaded == len(loaded)
+        warm_points = _lowering_points(warm.jit)
+        assert warm.run(entry).halted
+        # ... but a loaded one before it runs a single molecule.
+        entered = [t for t in loaded if t.executions_molecules]
+        assert entered
+        assert all(warm_points[t.id][0] == 0 for t in entered)
+
+    def test_fault_out_of_a_cold_translation_rolls_back_exactly(self):
+        # SMC_LOOP's stores fault its translations before they warm up:
+        # interpreter equivalence proves the VLIW-side rollback exact.
+        both = assert_equivalent(SMC_LOOP, config=FAST)
+        stats = both.cms_system.stats
+        assert stats.jit_dispatches > 0
+        assert stats.rollbacks >= 1
+        assert sum(stats.faults.values()) >= 1
+        # Every fault came out of the cold tier, none out of a template.
+        assert not [reason for reason in stats.jit_bailouts
+                    if reason.startswith("fault-")]
+
+
+def _tier_record(system, result) -> dict:
+    """Everything the choice of tier must leave unchanged."""
+    cpu = system.cpu
+    return {
+        "console": result.console_output,
+        "state": system.state.snapshot(),
+        "molecules_executed": cpu.molecules_executed,
+        "atoms_executed": cpu.atoms_executed,
+        "translations": sorted(
+            (t.entry_eip, t.entries, t.executions_molecules)
+            for t in system.tcache.translations()),
+        "stats": _dial_invisible_stats(system.stats),
+    }
+
+
+_TIER_SOURCES = {"hot-loop": HOT_LOOP, "smc-loop": SMC_LOOP}
+
+
+def _run_tier_subject(name: str, pins):
+    """A program of this file, or else a workload by name."""
+    if name in _TIER_SOURCES:
+        return run_cms(_TIER_SOURCES[name], FAST, pins=pins)
+    return run_workload_cms(get_workload(name), FAST, pins)
+
+
+class TestTierAgreement:
+    @pytest.mark.parametrize(
+        "name", ["hot-loop", "smc-loop", "compress", "dos_boot"])
+    def test_tiered_eager_and_vliw_runs_agree(self, name):
+        runs = {label: _run_tier_subject(name, pins) for label, pins in (
+            ("tiered", ()), ("eager", (pin_eager_lowering,)),
+            ("vliw", (pin_vliw,)))}
+        records = {label: _tier_record(system, result)
+                   for label, (system, result) in runs.items()}
+        assert records["tiered"] == records["eager"] == records["vliw"]
+        assert runs["tiered"][0].stats.jit_handoffs > 0
+        assert runs["eager"][0].stats.jit_handoffs == 0
+        assert runs["vliw"][0].stats.jit_dispatches == 0

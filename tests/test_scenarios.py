@@ -134,6 +134,20 @@ class TestChaosContainment:
             record["health"]["chaos_injected"]
 
 
+    def test_containment_outside_chaos_fails_the_scenario(self,
+                                                          monkeypatch):
+        from repro.translator.translator import Translator
+
+        def crash(self, entry_eip, policy):
+            raise RuntimeError("synthetic translator bug")
+
+        monkeypatch.setattr(Translator, "translate", crash)
+        record = run_scenario(get("guest-jit"), BUDGET, SEED)
+        assert record["health"]["contained_errors"] > 0
+        assert not record["pass"]
+        assert any(d.startswith("containment:") for d in record["diffs"])
+
+
 @pytest.mark.slow
 class TestFullBudget:
     def test_soak_full_budget(self):
