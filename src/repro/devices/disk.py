@@ -3,7 +3,9 @@
 Used by the boot workloads to model the "paging virtual memory" traffic
 of §3.6.1: a disk read lands in RAM through the bus, so (like DMA) its
 writes are seen by CMS's store observer and invalidate any translations
-on the destination pages.
+on the destination pages.  Each tick moves one chunk with
+``MemoryBus.write_block``: one RAM copy and one observer range, not one
+bus write per byte.
 
 Port map (defaults): 0x60 sector, 0x61 destination address,
 0x62 sector count, 0x63 control/status (write 1 to start; reads 1 while
@@ -62,14 +64,14 @@ class Disk:
         if not self.busy:
             return
         budget = min(self._remaining, self.BYTES_PER_TICK)
-        for _ in range(budget):
-            value = self._image[self._cursor] if self._cursor < len(
-                self._image) else 0
-            self._bus.write(self.dest, value, 1)
-            self._cursor += 1
-            self.dest += 1
-            self._remaining -= 1
-            self.bytes_read += 1
+        # Bytes past the end of the image read as zero.
+        chunk = self._image[self._cursor:self._cursor + budget]
+        chunk += bytes(budget - len(chunk))
+        self._bus.write_block(self.dest, chunk)
+        self._cursor += budget
+        self.dest += budget
+        self._remaining -= budget
+        self.bytes_read += budget
         if self._remaining == 0:
             self.busy = False
             self.reads_completed += 1

@@ -4,7 +4,8 @@ Paper §3.6.1: "In order to avoid excessive processing for the common
 case of paging virtual memory, DMA writes to a protected page invalidate
 all translations for the page."  The DMA engine writes through the
 memory bus, so the CMS's bus store-observer sees every byte it moves and
-applies exactly that page-invalidation rule.
+applies exactly that page-invalidation rule.  A RAM-to-RAM chunk moves
+as one ``MemoryBus.write_block`` (one observer range per tick).
 
 Port map (defaults): 0x50 source, 0x51 destination, 0x52 length,
 0x53 control/status (write 1 to start; reads 1 while busy).  MMIO
@@ -51,13 +52,27 @@ class DMAController:
         if not self.busy:
             return
         budget = min(self._remaining, self.BYTES_PER_TICK)
-        for _ in range(budget):
-            value = self._bus.read(self.source, 1)
-            self._bus.write(self.dest, value, 1)
-            self.source += 1
-            self.dest += 1
-            self._remaining -= 1
-            self.bytes_copied += 1
+        bus = self._bus
+        source, dest = self.source, self.dest
+        if (bus.is_ram(source, budget) and bus.is_ram(dest, budget)
+                and not source < dest < source + budget):
+            # RAM to RAM with no forward overlap: one read, one block
+            # write.  A forward byte copy into (source, source + budget)
+            # replicates the bytes it has just written, and MMIO reads
+            # have side effects, so both keep the byte loop below.
+            bus.write_block(dest, bus.ram.read_bytes(source, budget))
+            self.source += budget
+            self.dest += budget
+            self._remaining -= budget
+            self.bytes_copied += budget
+        else:
+            for _ in range(budget):
+                value = bus.read(self.source, 1)
+                bus.write(self.dest, value, 1)
+                self.source += 1
+                self.dest += 1
+                self._remaining -= 1
+                self.bytes_copied += 1
         if self._remaining == 0:
             self.busy = False
             self.transfers_completed += 1

@@ -11,7 +11,7 @@ translated stores draining from the store buffer, DMA and disk
 traffic) reaches ``on_ram_write`` via ``MemoryBus.store_observers``.
 
 Invalidation is page-granular: one write drops every cached
-instruction on the written page(s).  That is coarser than byte-precise
+instruction on every page it touches.  That is coarser than byte-precise
 but keeps the per-store check to two dictionary probes, and a page of
 re-decodes is cheap.  A full flush is the fallback when the cache
 fills.
@@ -65,18 +65,22 @@ class DecodedInstructionCache:
     # ------------------------------------------------------------------
 
     def on_ram_write(self, addr: int, size: int) -> None:
-        """Bus store observer: drop entries on the written page(s).
+        """Bus store observer: drop entries on every written page.
 
         Hot path — called after every RAM store in the system; the
-        common no-code-on-page case must stay at one dict probe.
+        common one-page, no-code-on-page case must stay at one dict
+        probe.  A device block write reports its whole chunk as one
+        range, so a range may span any number of pages.
         """
         index = self._page_index
         first = addr >> PAGE_SHIFT
         if first in index:
             self._drop_page(first)
         last = (addr + size - 1) >> PAGE_SHIFT
-        if last != first and last in index:
-            self._drop_page(last)
+        if last != first:
+            for page in range(first + 1, last + 1):
+                if page in index:
+                    self._drop_page(page)
 
     def invalidate_range(self, addr: int, size: int) -> None:
         """Explicit range invalidation (page-granular, like a write)."""

@@ -66,7 +66,10 @@ class MemoryBus:
     every RAM write that goes through the bus; the CMS uses one to keep
     the translation cache coherent with memory written by the
     interpreter, committed translations, and DMA, and the decode cache
-    uses another for the same invariant.
+    uses another for the same invariant.  ``size`` is a byte count, not
+    an access width: ``write_block`` reports a whole device chunk as
+    one range, which may span pages, so an observer must act on every
+    page of ``[addr, addr + size)``.
 
     Accesses are 1, 2, or 4 bytes on both the RAM and MMIO paths; any
     other size raises ``ValueError`` before any routing or counter
@@ -194,6 +197,35 @@ class MemoryBus:
             raise general_protection() from None
         for observer in self.store_observers:
             observer(addr, size)
+
+    def is_ram(self, addr: int, length: int) -> bool:
+        """True if all of [addr, addr+length) is plain RAM: inside the
+        RAM array and clear of every MMIO region."""
+        return (0 <= addr and addr + length <= self.ram.size
+                and not self.is_io(addr, length))
+
+    def write_block(self, addr: int, data: bytes | bytearray) -> None:
+        """Write ``data`` at ``addr`` as a device transfer (disk, DMA).
+
+        A chunk that is plain RAM lands with one copy and one
+        ``(addr, len(data))`` call per store observer — the §3.6.1 rule
+        is per page, so nothing needs the bytes one at a time.  Any
+        other chunk (one that touches MMIO or runs past the end of RAM)
+        goes through ``write`` byte by byte, so device handlers see the
+        same accesses and a #GP is raised at the same byte, with the
+        same bytes written before it.
+        """
+        if not data:
+            return
+        addr &= MASK32
+        if self.is_ram(addr, len(data)):
+            self.ram.write_bytes(addr, data)
+            for observer in self.store_observers:
+                observer(addr, len(data))
+            return
+        write = self.write
+        for offset, value in enumerate(data):
+            write(addr + offset, value, 1)
 
     def read_code_bytes(self, addr: int, length: int) -> bytes:
         """Fetch code bytes from RAM, bypassing MMIO.

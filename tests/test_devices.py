@@ -171,13 +171,14 @@ class TestDMA:
     def test_writes_visible_to_observers(self):
         ram, bus = _bus()
         seen = []
-        bus.store_observers.append(lambda a, s: seen.append(a))
+        bus.store_observers.append(lambda a, s: seen.append((a, s)))
         pic = InterruptController()
         dma = DMAController(bus, pic)
         dma.source, dma.dest, dma.length = 0, 0x2000, 4
         dma._control(1)
         dma.tick(1)
-        assert len(seen) == 4
+        # A RAM-to-RAM chunk reaches the observers as one range.
+        assert seen == [(0x2000, 4)]
 
     def test_ports(self):
         ram, bus = _bus()
@@ -207,6 +208,21 @@ class TestDisk:
         assert not disk.busy
         assert ram.read_bytes(0x3000, 7) == b"\xabKERNEL"
         assert disk.reads_completed == 1
+
+    def test_each_tick_is_one_observer_range(self):
+        ram, bus = _bus()
+        seen = []
+        bus.store_observers.append(lambda a, s: seen.append((a, s)))
+        disk = Disk(bus, InterruptController(), image=b"\x5a" * SECTOR_SIZE)
+        disk.sector, disk.dest, disk.count = 0, 0x3000, 1
+        disk._control(1)
+        while disk.busy:
+            disk.tick(1)
+        step = Disk.BYTES_PER_TICK
+        assert seen == [(0x3000 + offset, step)
+                        for offset in range(0, SECTOR_SIZE, step)]
+        assert ram.read_bytes(0x3000, SECTOR_SIZE) == b"\x5a" * SECTOR_SIZE
+        assert disk.bytes_read == SECTOR_SIZE and disk.dest == 0x3200
 
     def test_reads_beyond_image_are_zero(self):
         ram, bus = _bus()

@@ -97,6 +97,18 @@ class TestCacheUnit:
         cache.on_ram_write(0x0FFE, 4)  # write straddles the boundary
         assert not cache.entries
 
+    def test_range_write_drops_middle_pages(self):
+        # A range spanning three pages (a device block write) must drop
+        # the middle page too, not only the first and last.
+        cache = DecodedInstructionCache()
+        cache.insert(0x1100, 4, "middle")
+        cache.on_ram_write(0x0F00, 0x1200)  # pages 0, 1 and 2
+        assert 0x1100 not in cache.entries
+        cache.insert(0x1100, 4, "middle")
+        cache.invalidate_range(0x0800, 0x2000)  # pages 0, 1 and 2
+        assert not cache.entries
+        assert cache.invalidations == 2
+
     def test_capacity_flush(self):
         cache = DecodedInstructionCache(capacity=2)
         cache.insert(0x100, 4, "a")
