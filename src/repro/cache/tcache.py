@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.host.atoms import Atom, AtomKind
 from repro.host.molecule import Molecule
-from repro.memory.physical import page_of
+from repro.memory.physical import page_of, pages_of_ranges
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.translator
     from repro.translator.policies import TranslationPolicy
@@ -110,11 +110,7 @@ class Translation:
         return cached
 
     def pages(self) -> set[int]:
-        out: set[int] = set()
-        for start, length in self.code_ranges:
-            for page in range(page_of(start), page_of(start + length - 1) + 1):
-                out.add(page)
-        return out
+        return pages_of_ranges(self.code_ranges)
 
     def overlaps(self, addr: int, size: int) -> bool:
         """True if [addr, addr+size) intersects this translation's code."""

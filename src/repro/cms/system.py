@@ -43,7 +43,6 @@ from repro.isa.exceptions import GuestException
 from repro.isa.icache import DecodedInstructionCache
 from repro.machine import Machine
 from repro.memory.finegrain import FineGrainCache
-from repro.memory.physical import PAGE_SHIFT
 from repro.memory.protection import ProtectionMap
 from repro.obs import NULL_PHASES, Observability, ObservationBus
 from repro.translator.translator import TranslationError, Translator
@@ -561,7 +560,9 @@ class CodeMorphingSystem:
         and SMC write-protection watches those physical pages).  The
         result is cached against ``mmu.mapping_epoch`` so steady-state
         dispatch pays one integer compare; any page-table mutation
-        bumps the epoch and forces a re-probe.
+        bumps the epoch and forces a re-probe.  The translator stamps
+        the epoch at which it proved a fresh translation mapped, so a
+        translation it returns passes here without a probe.
         """
         mmu = self.machine.mmu
         if not mmu.paging_enabled:
@@ -569,10 +570,8 @@ class CodeMorphingSystem:
         epoch = mmu.mapping_epoch
         if translation.mapped_epoch == epoch:
             return True
-        for page in translation.pages():
-            base = page << PAGE_SHIFT
-            if mmu.probe(base) != base:
-                return False
+        if not mmu.maps_identity(translation.code_ranges):
+            return False
         translation.mapped_epoch = epoch
         return True
 
@@ -684,13 +683,9 @@ class CodeMorphingSystem:
             self._contain("translate", eip, error)
             return None
         if translation is None:
-            return None
-        if self.machine.mmu.paging_enabled and \
-                not self._translation_mapped(translation):
-            # The translator read part of this region through a
-            # non-identity mapping (the entry page was identity but a
-            # later page was not); caching it would pin the wrong
-            # physical bytes.  Interpret until the mapping settles.
+            # Untranslatable — or a later page of the region is not
+            # identity-mapped (the translator checks before its
+            # pipeline): interpret until the mapping settles.
             return None
         self.tcache.insert(translation)
         self.smc.protect_translation(translation)
@@ -732,13 +727,10 @@ class CodeMorphingSystem:
             if not self.config.failure_containment:
                 raise
             self._contain("retranslate", entry, error)
-        if replacement is None or (
-                self.machine.mmu.paging_enabled and
-                not self._translation_mapped(replacement)):
-            # No replacement — or the retranslator just read the region
-            # through a non-identity mapping (same rule as first-time
-            # translation).  Either way the region falls back to the
-            # interpreter with its page protection rebuilt.
+        if replacement is None:
+            # No replacement (the translator also returns None for a
+            # region it finds not identity-mapped): the region falls
+            # back to the interpreter with its page protection rebuilt.
             for page in stale_pages:
                 self.smc.recompute_page(page)
             return

@@ -34,7 +34,7 @@ from typing import Callable
 
 from repro.isa.exceptions import GuestException, page_fault
 from repro.memory.bus import MemoryBus
-from repro.memory.physical import PAGE_SHIFT, PAGE_SIZE
+from repro.memory.physical import PAGE_SHIFT, PAGE_SIZE, pages_of_ranges
 
 MASK32 = 0xFFFFFFFF
 
@@ -166,6 +166,24 @@ class MMU:
         if not pte & PTE_PRESENT:
             return None
         return (pte & ~(PAGE_SIZE - 1)) | (vaddr & (PAGE_SIZE - 1))
+
+    def maps_identity(self, code_ranges) -> bool:
+        """Host-side check that every page of ``code_ranges`` maps to
+        itself.
+
+        The one probe loop behind both the translator's pre-pipeline
+        check and the dispatcher's revalidation: the same page set,
+        probed in the same order, stopping at the first page that is
+        unmapped or mapped elsewhere.  Probes only, so the
+        architectural counters never move.
+        """
+        if not self.paging_enabled:
+            return True
+        for page in pages_of_ranges(code_ranges):
+            base = page << PAGE_SHIFT
+            if self.probe(base) != base:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # TLB maintenance

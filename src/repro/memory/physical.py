@@ -12,6 +12,15 @@ def page_of(addr: int) -> int:
     return addr >> PAGE_SHIFT
 
 
+def pages_of_ranges(ranges) -> set[int]:
+    """Every page that a list of ``(start, length)`` byte ranges touches."""
+    out: set[int] = set()
+    for start, length in ranges:
+        for page in range(page_of(start), page_of(start + length - 1) + 1):
+            out.add(page)
+    return out
+
+
 class PhysicalMemory:
     """A contiguous byte-addressable guest RAM starting at address 0.
 

@@ -1,9 +1,10 @@
 """Translator orchestrator: the full pipeline for one region.
 
-Decode/select -> lower -> optimize -> schedule -> generate, with the
-fallback ladder the paper implies: if code generation fails (e.g. the
-temp pool is exhausted on a pathological trace), retry with CSE off and
-then with progressively smaller regions.
+Decode/select -> mapping check -> lower -> optimize -> schedule ->
+generate, with the fallback ladder the paper implies: if code
+generation fails (e.g. the temp pool is exhausted on a pathological
+trace), retry with CSE off and then with progressively smaller
+regions.
 """
 
 from __future__ import annotations
@@ -47,12 +48,20 @@ class Translator:
 
     def translate(self, entry_eip: int,
                   policy: TranslationPolicy) -> Translation | None:
-        """Translate the region at ``entry_eip``; None if untranslatable."""
+        """Translate the region at ``entry_eip``; None if untranslatable.
+
+        Also None when a code page of the selected region is not
+        identity-mapped: the host code would be lifted from physical
+        bytes the guest does not fetch, so the dispatcher would never
+        run it.  That is checked before the pipeline, and a returned
+        translation carries the mapping epoch it was proven at.
+        """
         selector = RegionSelector(self.machine, self.profile)
+        mmu = self.machine.mmu
         attempt_policy = policy
         for attempt in range(6):
             region = selector.select(entry_eip, attempt_policy)
-            if region is None:
+            if region is None or not mmu.maps_identity(region.code_ranges()):
                 return None
             effective = self._learn_mmio(region, attempt_policy)
             try:
@@ -64,6 +73,7 @@ class Translator:
                     max_instructions=max(
                         8, attempt_policy.max_instructions // 2))
                 continue
+            translation.mapped_epoch = mmu.mapping_epoch
             self.stats.translations += 1
             self.stats.guest_instructions += translation.guest_instr_count
             self.stats.molecules_emitted += translation.num_molecules
